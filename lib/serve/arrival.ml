@@ -139,6 +139,24 @@ let uniform_draw ~key_range ~update_pct : draw =
   let key = 1 + Rng.int rng key_range in
   (op, key)
 
+let phase_period phases = List.fold_left (fun a (l, _) -> a + l) 0 phases
+
+(* Multiplier and end offset of the phase segment containing [pos] (< the
+   phase period), walking segments from offset [start].  Two walks instead
+   of one returning a pair: neither allocates. *)
+let rec phase_mult pos start = function
+  | [] -> 1000 (* unreachable: pos < period *)
+  | (l, m) :: rest -> if pos < start + l then m else phase_mult pos (start + l) rest
+
+let rec phase_end pos start = function
+  | [] -> start (* unreachable: pos < period *)
+  | (l, _) :: rest -> if pos < start + l then start + l else phase_end pos (start + l) rest
+
+(* End of the fault window containing [t], or [t] itself when none does. *)
+let rec window_end t = function
+  | [] -> t
+  | (s, e) :: rest -> if t >= s && t < e then e else window_end t rest
+
 (* Skip [t] forward past every cycle in which no arrival can occur: the off
    phases of a bursty process, and any degraded (fault) window.  Each
    recursion strictly advances [t], and the window list is finite, so the
@@ -149,25 +167,17 @@ let rec skip_gaps process t =
   | Bursty { on; off } ->
     let period = on + off in
     if t mod period < on then t else (t / period + 1) * period
-  | Phased { phases; base } -> (
+  | Phased { phases; base } ->
     let t' = skip_gaps base t in
-    let period = List.fold_left (fun a (l, _) -> a + l) 0 phases in
-    let pos = t' mod period in
-    (* Find the segment containing [pos]; a zero-multiplier segment is a
-       gap, so jump to its end and rewalk the whole process from there. *)
-    let rec seg start = function
-      | [] -> t' (* unreachable: pos < period *)
-      | (l, m) :: rest ->
-        if pos < start + l then
-          if m > 0 then t' else skip_gaps process (t' - pos + start + l)
-        else seg (start + l) rest
-    in
-    seg 0 phases)
-  | Degraded { windows; base } -> (
+    let pos = t' mod phase_period phases in
+    (* A zero-multiplier segment is a gap: jump to its end and rewalk the
+       whole process from there. *)
+    if phase_mult pos 0 phases > 0 then t'
+    else skip_gaps process (t' - pos + phase_end pos 0 phases)
+  | Degraded { windows; base } ->
     let t' = skip_gaps base t in
-    match List.find_opt (fun (s, e) -> t' >= s && t' < e) windows with
-    | Some (_, e) -> skip_gaps process e
-    | None -> t')
+    let e = window_end t' windows in
+    if e = t' then t' else skip_gaps process e
 
 (* The on-phase rate boost that keeps long-run offered load at the
    configured rate.  Degraded windows deliberately do NOT boost: a fault
@@ -188,24 +198,21 @@ let rec rate_boost = function
 
 (* Diurnal rate multiplier (in thousandths) in force at cycle [t]; 1000
    everywhere except inside a [Phased] segment. *)
-let mult_milli_at process t =
-  let rec go = function
-    | Poisson | Bursty _ -> 1000
-    | Degraded { base; _ } -> go base
-    | Phased { phases; base } ->
-      let period = List.fold_left (fun a (l, _) -> a + l) 0 phases in
-      let pos = t mod period in
-      let rec seg start = function
-        | [] -> 1000 (* unreachable: pos < period *)
-        | (l, m) :: rest -> if pos < start + l then m else seg (start + l) rest
-      in
-      seg 0 phases * go base / 1000
-  in
-  go process
+let rec mult_milli_at process t =
+  match process with
+  | Poisson | Bursty _ -> 1000
+  | Degraded { base; _ } -> mult_milli_at base t
+  | Phased { phases; base } ->
+    phase_mult (t mod phase_period phases) 0 phases * mult_milli_at base t / 1000
 
-(* Per-cycle trial probability at cycle [t].  The [1000] fast path keeps
-   non-phased processes bit-identical to the historical fixed-probability
-   walk (p *. 1.0 is exact, but not even that is evaluated). *)
+let rec has_phases = function
+  | Poisson | Bursty _ -> false
+  | Phased _ -> true
+  | Degraded { base; _ } -> has_phases base
+
+(* Per-cycle trial probability at cycle [t] of a phased process.  A
+   segment at [1000] keeps [p] exactly (p *. 1.0 is exact, but not even
+   that is evaluated). *)
 let p_at process p t =
   match mult_milli_at process t with
   | 1000 -> p
@@ -256,20 +263,27 @@ type session = {
   mutable count : int;
 }
 
-(* Advance [s.clock] past its next arrival: Bernoulli trials cycle by
+(* The first arrival at or after cycle [from]: Bernoulli trials cycle by
    cycle, skipping off phases and degraded windows.  The trial cap bounds
    the walk when [p] is tiny (it shows up as one very late arrival rather
-   than an unbounded loop). *)
-let next_arrival process s =
+   than an unbounded loop).  About a thousand trials go into each request
+   at serving rates, so the loop must not allocate: without a [Phased]
+   segment the trial probability is [p] at every cycle and [p_at] is not
+   evaluated, and plain [Poisson] has no gaps to skip. *)
+let first_arrival process rng p from =
   let cap = 10_000_000 in
-  let t = ref (skip_gaps process (s.clock + 1)) in
+  let phased = has_phases process in
+  let t = ref (skip_gaps process from) in
   let trials = ref 0 in
-  while not (Rng.chance s.rng (p_at process s.p !t)) && !trials < cap do
+  while not (Rng.chance rng (if phased then p_at process p !t else p)) && !trials < cap do
     incr trials;
-    t := skip_gaps process (!t + 1)
+    t := (match process with Poisson -> !t + 1 | _ -> skip_gaps process (!t + 1))
   done;
-  s.clock <- !t;
   !t
+
+(* Advance [s.clock] to its next arrival. *)
+let next_arrival process s =
+  s.clock <- first_arrival process s.rng s.p (s.clock + 1)
 
 let aggregate_threshold = 256
 
@@ -287,20 +301,14 @@ let schedule_aggregate ~process ~draw ~p ~clients ~requests ~seed =
   let rng = Rng.create ~seed in
   let counts = Array.make clients 0 in
   let clock = ref (-1) in
-  let cap = 10_000_000 in
   Array.init requests (fun _ ->
-    let t = ref (skip_gaps process (!clock + 1)) in
-    let trials = ref 0 in
-    while not (Rng.chance rng (p_at process p !t)) && !trials < cap do
-      incr trials;
-      t := skip_gaps process (!t + 1)
-    done;
-    clock := !t;
+    let t = first_arrival process rng p (!clock + 1) in
+    clock := t;
     let client = Rng.int rng clients in
-    let op, key = draw rng ~at:!t in
+    let op, key = draw rng ~at:t in
     let seq = counts.(client) in
     counts.(client) <- seq + 1;
-    { arrival = !t; client; seq; op; key })
+    { arrival = t; client; seq; op; key })
 
 (* Reject malformed process nestings before any rng state is consumed.
    Phases sit strictly between degraded windows and the poisson/bursty
@@ -343,17 +351,16 @@ let schedule ~process ?draw ~rate ~clients ~requests ~key_range ~update_pct ~see
     (* Prime every session with its first arrival, then pull the globally
        earliest [requests] times (earliest-deadline merge; ties by client id
        via the scan order, seq is strictly increasing per client). *)
-    Array.iter (fun s -> ignore (next_arrival process s)) sessions;
-    let out =
-      Array.init requests (fun _ ->
-        let best = ref sessions.(0) in
-        Array.iter (fun s -> if s.clock < !best.clock then best := s) sessions;
-        let s = !best in
-        let op, key = draw s.rng ~at:s.clock in
-        let req = { arrival = s.clock; client = s.id; seq = s.count; op; key } in
-        s.count <- s.count + 1;
-        ignore (next_arrival process s);
-        req)
-    in
-    out
+    Array.iter (next_arrival process) sessions;
+    Array.init requests (fun _ ->
+      let best = ref 0 in
+      for i = 1 to clients - 1 do
+        if sessions.(i).clock < sessions.(!best).clock then best := i
+      done;
+      let s = sessions.(!best) in
+      let op, key = draw s.rng ~at:s.clock in
+      let req = { arrival = s.clock; client = s.id; seq = s.count; op; key } in
+      s.count <- s.count + 1;
+      next_arrival process s;
+      req)
   end

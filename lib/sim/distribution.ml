@@ -25,18 +25,18 @@ let zipf ~n ~theta =
 
 let constant v = Constant v
 
+(* Smallest index in [lo, hi] with cdf.(i) >= u.  Top level, so a sample
+   allocates no search closure. *)
+let rec search cdf u lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if cdf.(mid) >= u then search cdf u lo mid else search cdf u (mid + 1) hi
+  end
+
 let sample t rng =
   match t with
   | Constant v -> v
   | Uniform (lo, hi) -> Rng.int_in rng ~lo ~hi
   | Zipf { n; cdf } ->
-    let u = Rng.float rng in
-    (* Smallest index with cdf.(i) >= u. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if cdf.(mid) >= u then search lo mid else search (mid + 1) hi
-      end
-    in
-    Stdlib.min (search 0 (n - 1)) (n - 1)
+    Stdlib.min (search cdf (Rng.float rng) 0 (n - 1)) (n - 1)

@@ -4,7 +4,17 @@
     experiment is reproducible from a single seed.  The generator is the
     splitmix64 algorithm: tiny state, excellent statistical quality for
     simulation workloads, and trivially splittable so independent components
-    (cores, workload generators) can derive independent streams. *)
+    (cores, workload generators) can derive independent streams.
+
+    {b No allocation.}  Drawing never allocates: [int], [bool] and
+    [chance] touch no heap at all, and [float] and [next_int64] do not
+    either once inlined at the call site (a release build; the dev profile
+    compiles with [-opaque], which forbids cross-module inlining, so there
+    their result is boxed on return).  The arrival walk draws about a
+    thousand Bernoulli trials per served request, so a single boxed word
+    per draw would dominate the serving engine's allocation.  The 64-bit
+    state is therefore kept unboxed in an 8-byte buffer rather than a
+    mutable [int64] field, which would box a fresh value on every store. *)
 
 type t
 (** Mutable generator state. *)

@@ -135,6 +135,74 @@ let test_aggregate_path_matches_contract () =
   Alcotest.(check bool) "different seed, different schedule" false
     (Array.for_all2 (fun a b -> req_tuple a = req_tuple b) s (make 43))
 
+(* Digests of [(arrival, client, seq, op, key)] over 600-request schedules,
+   generated before the arrival walk was made allocation-free: the
+   rewrite must not move a single draw.  Each process runs on the
+   per-session path (16 clients) and the aggregate path. *)
+let test_schedule_digest_pins () =
+  let digest (s : Arrival.request array) =
+    let buf = Buffer.create 16384 in
+    Array.iter
+      (fun (r : Arrival.request) ->
+        Printf.bprintf buf "%d %d %d %s %d\n" r.arrival r.client r.seq
+          (Arrival.op_name r.op) r.key)
+      s;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  let phased base =
+    Arrival.Phased { phases = [ (3000, 500); (2000, 0); (3000, 2000) ]; base }
+  in
+  let windows = [ (4000, 9000); (20000, 21000) ] in
+  List.iter
+    (fun (process, per_session, aggregate) ->
+      List.iter
+        (fun (clients, want) ->
+          let s =
+            Arrival.schedule ~process ~rate:16. ~clients ~requests:600 ~key_range:512
+              ~update_pct:30 ~seed:2024 ()
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %d clients" (Arrival.process_name process) clients)
+            want (digest s))
+        [ (16, per_session); (Arrival.aggregate_threshold + 1, aggregate) ])
+    [
+      ( Arrival.Poisson,
+        "3f3e7ca313625918b4c9304d5204f50b",
+        "5c53e083b5e52ecc3479dc5f3867ba85" );
+      ( Arrival.Bursty { on = 2000; off = 6000 },
+        "5145af98f7b815f12850c82cb10b1cd5",
+        "a536e3b60e438993584b1f1658785530" );
+      ( phased Arrival.Poisson,
+        "757fd4cbb1790945c3c6f5de303762c2",
+        "f4f3bf43c650b5382bc66a284b6c7fce" );
+      ( Arrival.Degraded { windows; base = Arrival.Bursty { on = 2000; off = 6000 } },
+        "15e88bb32072998a2db55f05a765ddfd",
+        "338fbc12ef2442b3cba0e1695bb20723" );
+      ( Arrival.Degraded { windows; base = phased (Arrival.Bursty { on = 1500; off = 500 }) },
+        "b74a092400d756be5d9ac09ae8de7f85",
+        "afebc9259d51ce350a2fdcf0c8797fec" );
+    ]
+
+let test_schedule_allocation () =
+  (* The trial walk allocates nothing; what is left per request is the
+     request record and the op/key pair.  The result array is larger than
+     a minor-heap block, so it lands on the major heap and is not counted. *)
+  let requests = 2000 in
+  List.iter
+    (fun clients ->
+      let run () =
+        Arrival.schedule ~process:Arrival.Poisson ~rate:16. ~clients ~requests
+          ~key_range:256 ~update_pct:20 ~seed:5 ()
+      in
+      ignore (run ());
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (run ()));
+      let per_req = (Gc.minor_words () -. before) /. float_of_int requests in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d clients: %.1f minor words per request <= 32" clients per_req)
+        true (per_req <= 32.))
+    [ 16; Arrival.aggregate_threshold + 1 ]
+
 (* == Batcher ordering contract ========================================== *)
 
 (* A probe strategy that only logs: operations via [write], persist points
@@ -388,6 +456,8 @@ let tests =
         test_degraded_windows_are_quiet;
       Alcotest.test_case "aggregate path keeps the schedule contract" `Quick
         test_aggregate_path_matches_contract;
+      Alcotest.test_case "schedule digests pinned" `Quick test_schedule_digest_pins;
+      Alcotest.test_case "schedule walk allocation-free" `Quick test_schedule_allocation;
       Alcotest.test_case "batcher defers, dedups, never reorders" `Quick test_batcher_defers_and_orders;
       Alcotest.test_case "non-deferrable strategies pass through" `Quick
         test_batcher_non_deferrable_passthrough;
