@@ -3,44 +3,67 @@ module Lsu = Skipit_cpu.Lsu
 open Effect
 open Effect.Deep
 
-type request = Exec of Instr.t | Get_now | Get_core
+type _ Effect.t += Exec : Instr.t -> int Effect.t | Get_now : int Effect.t | Get_core : int Effect.t
 
-type _ Effect.t += Mem : request -> int Effect.t
-
-let perform_req r = perform (Mem r)
-
-let load addr = perform_req (Exec (Instr.Load { addr }))
-let store addr value = ignore (perform_req (Exec (Instr.Store { addr; value })))
-let cas addr ~expected ~desired = perform_req (Exec (Instr.Cas { addr; expected; desired })) = 1
-let clean addr = ignore (perform_req (Exec (Instr.Cbo_clean { addr })))
-let flush addr = ignore (perform_req (Exec (Instr.Cbo_flush { addr })))
-let inval addr = ignore (perform_req (Exec (Instr.Cbo_inval { addr })))
-let zero addr = ignore (perform_req (Exec (Instr.Cbo_zero { addr })))
-let fence () = ignore (perform_req (Exec Instr.Fence))
-let delay n = ignore (perform_req (Exec (Instr.Delay n)))
-let now () = perform_req Get_now
-let core_id () = perform_req Get_core
+let load addr = perform (Exec (Instr.Load { addr }))
+let store addr value = ignore (perform (Exec (Instr.Store { addr; value })))
+let cas addr ~expected ~desired = perform (Exec (Instr.Cas { addr; expected; desired })) = 1
+let clean addr = ignore (perform (Exec (Instr.Cbo_clean { addr })))
+let flush addr = ignore (perform (Exec (Instr.Cbo_flush { addr })))
+let inval addr = ignore (perform (Exec (Instr.Cbo_inval { addr })))
+let zero addr = ignore (perform (Exec (Instr.Cbo_zero { addr })))
+let fence () = ignore (perform (Exec Instr.Fence))
+let delay n = ignore (perform (Exec (Instr.Delay n)))
+let now () = perform Get_now
+let core_id () = perform Get_core
 
 type task = { core : int; body : unit -> unit }
 
-type status = Done | Blocked of request * (int, status) continuation
+type status = Done | Blocked of (int, status) continuation
 
-type fiber = { fcore : int; mutable status : status }
+(* What a blocked fiber asked for: an instruction, or a clock/core query. *)
+type request = Instr | Now | Core
 
-let start body =
-  match_with body ()
-    {
-      retc = (fun () -> Done);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Mem r -> Some (fun (k : (a, status) continuation) -> Blocked (r, k))
-          | _ -> None);
-    }
+type fiber = {
+  fcore : int;
+  mutable status : status;
+  mutable request : request;
+  mutable instr : Instr.t;  (* the instruction, when [request = Instr] *)
+}
+
+(* A blocked fiber's suspension, shared by every fiber: its continuation
+   is all it records, so it captures nothing. *)
+let suspend = Some (fun k -> Blocked k)
+
+(* Run [body] until its first request.  The handler, built once per fiber,
+   parks each request in the fiber record, so a [perform] allocates only
+   the effect and its continuation. *)
+let start f body =
+  let effc : type a. a Effect.t -> ((a, status) continuation -> status) option = function
+    | Exec i ->
+      f.request <- Instr;
+      f.instr <- i;
+      suspend
+    | Get_now ->
+      f.request <- Now;
+      suspend
+    | Get_core ->
+      f.request <- Core;
+      suspend
+    | _ -> None
+  in
+  f.status <- match_with body () { retc = (fun () -> Done); exnc = raise; effc }
 
 let run_loop system ~stop tasks =
-  let fibers = Array.of_list (List.map (fun t -> { fcore = t.core; status = start t.body }) tasks) in
+  let fibers =
+    Array.of_list
+      (List.map
+         (fun t ->
+           let f = { fcore = t.core; status = Done; request = Now; instr = Instr.Fence } in
+           start f t.body;
+           f)
+         tasks)
+  in
   let n = Array.length fibers in
   (* Timestamp-ordered scheduling: always advance the fiber whose core clock
      is smallest, so cross-core state mutations happen in global time
@@ -77,13 +100,13 @@ let run_loop system ~stop tasks =
       let fiber = fibers.(pick ()) in
       (match fiber.status with
        | Done -> assert false
-       | Blocked (req, k) ->
+       | Blocked k ->
          let lsu = System.lsu system fiber.fcore in
          let answer =
-           match req with
-           | Exec i -> Lsu.exec lsu i
-           | Get_now -> Lsu.clock lsu
-           | Get_core -> fiber.fcore
+           match fiber.request with
+           | Instr -> Lsu.exec lsu fiber.instr
+           | Now -> Lsu.clock lsu
+           | Core -> fiber.fcore
          in
          System.maybe_audit system;
          fiber.status <- continue k answer;

@@ -1,40 +1,38 @@
-type t = { entries : int; q : int Queue.t }
+module Int_ring = Skipit_sim.Int_ring
+
+(* Drain times of the entries still draining, oldest first.  Each insert
+   clamps its drain time to the latest one already queued (stores drain in
+   order), so the times are nondecreasing and the newest is the latest. *)
+type t = { entries : int; q : Int_ring.t }
 
 let create ~entries =
   if entries <= 0 then invalid_arg "Store_queue.create: no entries";
-  { entries; q = Queue.create () }
+  { entries; q = Int_ring.create ~capacity:entries }
 
 let capacity t = t.entries
 
 let prune t ~now =
-  let rec drop () =
-    match Queue.peek_opt t.q with
-    | Some drain when drain <= now ->
-      ignore (Queue.pop t.q);
-      drop ()
-    | Some _ | None -> ()
-  in
-  drop ()
+  while (not (Int_ring.is_empty t.q)) && Int_ring.peek t.q <= now do
+    ignore (Int_ring.pop t.q)
+  done
+
+let latest t = if Int_ring.is_empty t.q then 0 else Int_ring.last t.q
 
 let insert t ~now ~drain_at =
   prune t ~now;
   let commit =
-    if Queue.length t.q >= t.entries then max now (Queue.pop t.q) else now
+    if Int_ring.length t.q >= t.entries then max now (Int_ring.pop t.q) else now
   in
   (* Entries drain in order; a later store never completes before an
      earlier one (stores fire in order, §3.2). *)
-  let drain_at =
-    match Queue.fold (fun acc d -> max acc d) 0 t.q with
-    | 0 -> drain_at
-    | latest -> max drain_at latest
-  in
-  Queue.add drain_at t.q;
+  let drain_at = match latest t with 0 -> drain_at | latest -> max drain_at latest in
+  Int_ring.push t.q drain_at;
   commit
 
 let drained_at t ~now =
   prune t ~now;
-  Queue.fold (fun acc d -> max acc d) now t.q
+  max now (latest t)
 
 let occupancy t ~now =
   prune t ~now;
-  Queue.length t.q
+  Int_ring.length t.q

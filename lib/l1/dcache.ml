@@ -4,6 +4,7 @@ open Skipit_cache
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
 module Metrics = Skipit_obs.Metrics
+module H = Stats.Registry.Handle
 
 (* Metadata/state snapshot handed to tests; the live state is
    struct-of-arrays (below), so this record is built on demand. *)
@@ -43,14 +44,27 @@ type t = {
   last_change : Int_tbl.t;
   stats : Stats.Registry.t;
   (* Per-access counters resolved once at construction; the registry's
-     string lookup is off the load/store path. *)
+     string lookup is off the load/store path.  The four hit/miss counters
+     are registered up front (they always appear in the report); the rest
+     register on their first increment. *)
   c_load_hits : Stats.Counter.t;
   c_store_hits : Stats.Counter.t;
   c_load_misses : Stats.Counter.t;
   c_store_misses : Stats.Counter.t;
-  (* Scratch completion time of the most recent [load_word]/[cas_word]:
-     the hot API returns the payload unboxed and parks the timestamp here,
-     so a hit performs zero minor-heap allocation. *)
+  h_evictions_dirty : H.t;
+  h_evictions_clean : H.t;
+  h_load_forwards : H.t;
+  h_load_nacks : H.t;
+  h_store_nacks : H.t;
+  h_store_upgrades : H.t;
+  h_cbo_invals : H.t;
+  h_cbo_zeros : H.t;
+  h_probes_handled : H.t;
+  mshr_comp : string;  (* trace/metrics component of the MSHRs *)
+  (* Scratch completion time of the most recent [load_word]/[cas_word]
+     (and, internally, of [refill]/[writable_line]): the hot API returns
+     the payload unboxed and parks the timestamp here, so a hit performs
+     zero minor-heap allocation. *)
   mutable done_at : int;
 }
 
@@ -113,7 +127,7 @@ let evict_slot t id ~now =
   let perm = line_perm t id in
   let t_free =
     if line_dirty t id then begin
-      Stats.Registry.incr t.stats "evictions_dirty";
+      H.incr t.h_evictions_dirty;
       l1_ev t ~at:t0 ~addr:vaddr Trace.Evict_dirty;
       let rid = Trace.req_start ~at:t0 ~cls:Trace.Cls_writeback ~core:t.core ~addr:vaddr in
       let t_buf = Resource.acquire_finish t.wbu ~now:t0 ~busy:(beats t) in
@@ -129,7 +143,7 @@ let evict_slot t id ~now =
       t_sent
     end
     else begin
-      Stats.Registry.incr t.stats "evictions_clean";
+      H.incr t.h_evictions_clean;
       l1_ev t ~at:t0 ~addr:vaddr Trace.Evict_clean;
       let shrink = Perm.shrink_for ~from:perm ~cap:Perm.Nothing in
       let saved = Attr.suspend () in
@@ -144,53 +158,39 @@ let evict_slot t id ~now =
 (* Fetch a line at [target] permission through an MSHR: pick and evict a
    victim, Acquire from the L2, install with the skip bit from the grant
    flavour (GrantData vs GrantDataDirty, §6.1).  Returns the slot id and
-   the grant completion time. *)
+   parks the grant completion time in [t.done_at]. *)
 let refill t ~addr ~grow ~now =
   let addr = line_base t addr in
-  let installed = ref Store.miss in
-  let mshr_comp = lazy (Printf.sprintf "l1.%d.mshr" t.core) in
-  let _, _, finish =
-    Resource.acquire_dyn_idx t.mshrs ~now (fun ~idx start ->
-      if Trace.enabled () then
-        Trace.emit ~at:start
-          (Trace.Resource { comp = Lazy.force mshr_comp; idx; op = Trace.Res_alloc });
-      Attr.mark Attr.Mshr ~at:start;
-      if Metrics.enabled () then Metrics.alloc (Lazy.force mshr_comp) ~at:start;
-      let id, t_slot =
-        match find_line t addr with
-        | id when id <> Store.miss ->
-          (* Upgrade in place (Branch → Trunk); no victim needed. *)
-          id, start
-        | _ ->
-          let victim = Store.victim t.store_arr addr in
-          let t_free =
-            if Store.is_valid t.store_arr victim then evict_slot t victim ~now:start
-            else start
-          in
-          victim, t_free
-      in
-      Attr.mark Attr.Mshr ~at:t_slot;
-      let t_sent = Port.send_a t.port ~addr ~now:t_slot in
-      let grant = Port.acquire t.port ~addr ~grow ~now:t_sent in
-      (* Grant data shares the D channel with every other response into
-         this core. *)
-      let grant =
-        { grant with Port.done_at = channel_d t ~addr ~finish:grant.Port.done_at ~beats:(beats t) }
-      in
-      Store.fill t.store_arr id ~addr ~payload:() ~now:grant.Port.done_at;
-      set_meta t id
-        (bits_of_perm grant.Port.perm lor (if grant.Port.l2_dirty then 0 else skip_bit));
-      blit_line t id grant.Port.data;
-      installed := id;
-      if Trace.enabled () then
-        Trace.emit ~at:grant.Port.done_at
-          (Trace.Resource { comp = Lazy.force mshr_comp; idx; op = Trace.Res_free });
-      Attr.mark Attr.Mshr ~at:grant.Port.done_at;
-      if Metrics.enabled () then Metrics.free (Lazy.force mshr_comp) ~at:grant.Port.done_at;
-      grant.Port.done_at)
+  let idx = Resource.pick t.mshrs in
+  let start = Resource.start_on t.mshrs idx ~now in
+  if Trace.enabled () then
+    Trace.emit ~at:start (Trace.Resource { comp = t.mshr_comp; idx; op = Trace.Res_alloc });
+  Attr.mark Attr.Mshr ~at:start;
+  if Metrics.enabled () then Metrics.alloc t.mshr_comp ~at:start;
+  (* A present line is upgraded in place (Branch → Trunk); otherwise a
+     victim is picked and, if valid, evicted. *)
+  let hit = find_line t addr in
+  let id = if hit <> Store.miss then hit else Store.victim t.store_arr addr in
+  let t_slot =
+    if hit = Store.miss && Store.is_valid t.store_arr id then evict_slot t id ~now:start
+    else start
   in
-  assert (!installed <> Store.miss);
-  !installed, finish
+  Attr.mark Attr.Mshr ~at:t_slot;
+  let t_sent = Port.send_a t.port ~addr ~now:t_slot in
+  let grant = Port.acquire t.port ~addr ~grow ~now:t_sent in
+  (* Grant data shares the D channel with every other response into this
+     core. *)
+  let done_at = channel_d t ~addr ~finish:grant.Port.done_at ~beats:(beats t) in
+  Store.fill t.store_arr id ~addr ~payload:() ~now:done_at;
+  set_meta t id (bits_of_perm grant.Port.perm lor (if grant.Port.l2_dirty then 0 else skip_bit));
+  blit_line t id grant.Port.data;
+  if Trace.enabled () then
+    Trace.emit ~at:done_at (Trace.Resource { comp = t.mshr_comp; idx; op = Trace.Res_free });
+  Attr.mark Attr.Mshr ~at:done_at;
+  if Metrics.enabled () then Metrics.free t.mshr_comp ~at:done_at;
+  Resource.commit t.mshrs idx ~start ~finish:done_at;
+  t.done_at <- done_at;
+  id
 
 let rec load_word t ~addr ~now =
   Attr.activate ~core:t.core;
@@ -207,13 +207,13 @@ let rec load_word t ~addr ~now =
     match Flush_unit.load_conflict t.flush ~addr:base ~now with
     | Flush_unit.Load_forward tb ->
       (* §5.3: the FSHR's filled data buffer is forwarded to the load. *)
-      Stats.Registry.incr t.stats "load_forwards";
+      H.incr t.h_load_forwards;
       l1_ev t ~at:now ~addr Trace.Load_forward;
       t.done_at <- tb + t.p.Params.l1_load_to_use;
       Attr.mark Attr.Fshr ~at:t.done_at;
       Port.peek_word t.port addr
     | Flush_unit.Load_wait tw ->
-      Stats.Registry.incr t.stats "load_nacks";
+      H.incr t.h_load_nacks;
       l1_ev t ~at:now ~addr Trace.Load_nack;
       Attr.mark Attr.Fshr ~at:(tw + t.p.Params.nack_retry_delay);
       load_word t ~addr ~now:(tw + t.p.Params.nack_retry_delay)
@@ -221,9 +221,9 @@ let rec load_word t ~addr ~now =
       Stats.Counter.incr t.c_load_misses;
       l1_ev t ~at:now ~addr Trace.Load_miss;
       let rid = Trace.req_start ~at:now ~cls:Trace.Cls_load_miss ~core:t.core ~addr in
-      let id, t_done = refill t ~addr ~grow:Perm.N_to_B ~now in
-      Trace.req_end ~at:t_done rid;
-      t.done_at <- t_done + t.p.Params.l1_load_to_use;
+      let id = refill t ~addr ~grow:Perm.N_to_B ~now in
+      Trace.req_end ~at:t.done_at rid;
+      t.done_at <- t.done_at + t.p.Params.l1_load_to_use;
       Attr.mark Attr.L1_hit ~at:t.done_at;
       word t id (word_off t addr))
 
@@ -232,58 +232,60 @@ let load t ~addr ~now =
   v, t.done_at
 
 (* Obtain a Trunk copy for a write-type access, honouring the §5.3 pending-
-   writeback conditions; returns the slot id and the cycle the write may
-   retire. *)
+   writeback conditions; returns the slot id and parks the cycle the write
+   may retire in [t.done_at]. *)
 let writable_line t ~addr ~now =
   Attr.activate ~core:t.core;
   let base = line_base t addr in
   let now =
     match Flush_unit.store_proceed_at t.flush ~addr:base ~now with
     | Some tw when tw > now ->
-      Stats.Registry.incr t.stats "store_nacks";
+      H.incr t.h_store_nacks;
       l1_ev t ~at:now ~addr Trace.Store_nack;
       Attr.mark Attr.Fshr ~at:tw;
       tw
     | Some _ | None -> now
   in
+  let commit = t.p.Params.l1_store_commit in
   match find_line t addr with
   | id when id <> Store.miss && Perm.includes (line_perm t id) Perm.Trunk ->
     Stats.Counter.incr t.c_store_hits;
     l1_ev t ~at:now ~addr Trace.Store_hit;
     Store.touch t.store_arr id ~now;
-    Attr.mark Attr.L1_hit ~at:(now + t.p.Params.l1_store_commit);
-    id, now + t.p.Params.l1_store_commit
-  | id when id <> Store.miss ->
-    (* Branch → Trunk upgrade; data is re-granted (no AcquirePerm, §3.3). *)
-    Stats.Registry.incr t.stats "store_upgrades";
-    l1_ev t ~at:now ~addr Trace.Store_upgrade;
+    t.done_at <- now + commit;
+    Attr.mark Attr.L1_hit ~at:t.done_at;
+    id
+  | id ->
+    if id <> Store.miss then begin
+      (* Branch → Trunk upgrade; data is re-granted (no AcquirePerm, §3.3). *)
+      H.incr t.h_store_upgrades;
+      l1_ev t ~at:now ~addr Trace.Store_upgrade
+    end
+    else begin
+      Stats.Counter.incr t.c_store_misses;
+      l1_ev t ~at:now ~addr Trace.Store_miss
+    end;
     let rid = Trace.req_start ~at:now ~cls:Trace.Cls_store_miss ~core:t.core ~addr in
-    let id, t_done = refill t ~addr ~grow:Perm.B_to_T ~now in
-    Trace.req_end ~at:t_done rid;
-    Attr.mark Attr.L1_hit ~at:(t_done + t.p.Params.l1_store_commit);
-    id, t_done + t.p.Params.l1_store_commit
-  | _ ->
-    Stats.Counter.incr t.c_store_misses;
-    l1_ev t ~at:now ~addr Trace.Store_miss;
-    let rid = Trace.req_start ~at:now ~cls:Trace.Cls_store_miss ~core:t.core ~addr in
-    let id, t_done = refill t ~addr ~grow:Perm.N_to_T ~now in
-    Trace.req_end ~at:t_done rid;
-    Attr.mark Attr.L1_hit ~at:(t_done + t.p.Params.l1_store_commit);
-    id, t_done + t.p.Params.l1_store_commit
+    let grow = if id <> Store.miss then Perm.B_to_T else Perm.N_to_T in
+    let id = refill t ~addr ~grow ~now in
+    Trace.req_end ~at:t.done_at rid;
+    t.done_at <- t.done_at + commit;
+    Attr.mark Attr.L1_hit ~at:t.done_at;
+    id
 
 let store t ~addr ~value ~now =
-  let id, t_done = writable_line t ~addr ~now in
+  let id = writable_line t ~addr ~now in
   set_word t id (word_off t addr) value;
   set_dirty t id true;
   (* The architectural state change happens in program order at issue; the
      drain completion time is a background timing artefact (§3.2) and must
      not poison the §5.3 coalescing window. *)
   note_change t ~addr ~now;
-  t_done
+  t.done_at
 
 let cas_word t ~addr ~expected ~desired ~now =
-  let id, t_done = writable_line t ~addr ~now in
-  t.done_at <- t_done + t.p.Params.cas_extra;
+  let id = writable_line t ~addr ~now in
+  t.done_at <- t.done_at + t.p.Params.cas_extra;
   let off = word_off t addr in
   if word t id off = expected then begin
     set_word t id off desired;
@@ -329,24 +331,9 @@ let cbo t ~addr ~kind ~now =
   end
   else begin
     let line_data = if hit && dirty then Some (copy_line t id) else None in
-    let apply_meta effect =
-      if hit then begin
-        match effect with
-        | Fshr_fsm.Invalidate_line -> Store.invalidate t.store_arr id
-        | Fshr_fsm.Clear_dirty -> set_dirty t id false
-        | Fshr_fsm.No_meta_change -> ()
-      end
-    in
-    let send ~data ~now =
-      (* The FSHR's beats are its own serialization; arbitrate them onto
-         the shared C channel before the message travels. *)
-      let nbeats = if data = None then 1 else beats t in
-      let sent = channel_c t ~addr:base ~finish:now ~beats:nbeats in
-      Port.root_release t.port ~addr:base ~kind ~data ~now:sent
-    in
     let result =
       Flush_unit.submit t.flush ~addr:base ~kind ~hit ~dirty ~line_data
-        ~last_line_change:(last_change t ~addr:base) ~now:t_access ~apply_meta ~send
+        ~last_line_change:(last_change t ~addr:base) ~now:t_access
     in
     (* A completed CBO.CLEAN leaves the line persisted: its skip bit may be
        set (§6.2 — L2 wrote the data through to DRAM and cleared its dirty
@@ -370,7 +357,7 @@ let cbo t ~addr ~kind ~now =
 let cbo_inval t ~addr ~now =
   Attr.activate ~core:t.core;
   let base = line_base t addr in
-  Stats.Registry.incr t.stats "cbo_invals";
+  H.incr t.h_cbo_invals;
   (* Wait out any pending writeback of the line (its FSHR owns the
      metadata, §5.4), then discard the local copy and tell the L2 to revoke
      the rest. *)
@@ -389,8 +376,9 @@ let cbo_inval t ~addr ~now =
 
 let cbo_zero t ~addr ~now =
   let base = line_base t addr in
-  Stats.Registry.incr t.stats "cbo_zeros";
-  let id, t_done = writable_line t ~addr:base ~now in
+  H.incr t.h_cbo_zeros;
+  let id = writable_line t ~addr:base ~now in
+  let t_done = t.done_at in
   Array.fill t.data (id * t.wpl) t.wpl 0;
   set_dirty t id true;
   note_change t ~addr:base ~now:t_done;
@@ -404,7 +392,7 @@ let fence t ~now =
 
 let handle_probe t ~addr ~cap ~now =
   let base = line_base t addr in
-  Stats.Registry.incr t.stats "probes_handled";
+  H.incr t.h_probes_handled;
   l1_ev t ~at:now ~addr:base Trace.Probe_handled;
   let t0 = Flush_unit.probe_block_until t.flush ~addr:base ~cap ~now in
   let meta = t.p.Params.l1_meta_access in
@@ -497,9 +485,38 @@ let create p ~core ~port =
       c_store_hits = Stats.Registry.counter stats "store_hits";
       c_load_misses = Stats.Registry.counter stats "load_misses";
       c_store_misses = Stats.Registry.counter stats "store_misses";
+      h_evictions_dirty = H.create stats "evictions_dirty";
+      h_evictions_clean = H.create stats "evictions_clean";
+      h_load_forwards = H.create stats "load_forwards";
+      h_load_nacks = H.create stats "load_nacks";
+      h_store_nacks = H.create stats "store_nacks";
+      h_store_upgrades = H.create stats "store_upgrades";
+      h_cbo_invals = H.create stats "cbo_invals";
+      h_cbo_zeros = H.create stats "cbo_zeros";
+      h_probes_handled = H.create stats "probes_handled";
+      mshr_comp = Printf.sprintf "l1.%d.mshr" core;
       done_at = 0;
     }
   in
+  (* The FSHR walk reaches back into the cache for the Fig. 7 metadata
+     write and sends its RootRelease through the shared C channel. *)
+  Flush_unit.connect t.flush
+    {
+      Flush_unit.apply_meta =
+        (fun ~addr effect ->
+          let id = find_line t addr in
+          match effect with
+          | Fshr_fsm.Invalidate_line -> Store.invalidate t.store_arr id
+          | Fshr_fsm.Clear_dirty -> set_dirty t id false
+          | Fshr_fsm.No_meta_change -> ());
+      send =
+        (fun ~addr ~kind ~data ~now ->
+          (* The FSHR's beats are its own serialization; arbitrate them
+             onto the shared C channel before the message travels. *)
+          let nbeats = if data = None then 1 else beats t in
+          let sent = channel_c t ~addr ~finish:now ~beats:nbeats in
+          Port.root_release t.port ~addr ~kind ~data ~now:sent);
+    };
   (* The cache is the client agent of its port: B-channel probes from the
      manager arrive here. *)
   Port.connect_client port

@@ -40,7 +40,11 @@ let enqueue t entry =
   end
 
 let dequeue t = Queue.take_opt t.q
-let peek t = Queue.peek_opt t.q
+
+let oldest t =
+  if Queue.is_empty t.q then invalid_arg "Flush_queue.oldest: empty" else Queue.peek t.q
+
+let drop_oldest t = if not (Queue.is_empty t.q) then ignore (Queue.take t.q)
 
 let probe_invalidate t ~addr ~cap =
   Queue.iter

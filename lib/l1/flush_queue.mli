@@ -42,7 +42,12 @@ val enqueue : t -> entry -> bool
 val dequeue : t -> entry option
 (** FIFO head, for FSHR allocation. *)
 
-val peek : t -> entry option
+val oldest : t -> entry
+(** FIFO head without removing it (no [option] allocated); raises
+    [Invalid_argument] when empty. *)
+
+val drop_oldest : t -> unit
+(** Remove the FIFO head, if any. *)
 
 val probe_invalidate : t -> addr:int -> cap:Perm.t -> unit
 (** §5.4.1 [probe_invalidate] signal: a coherence probe capping the line to

@@ -4,6 +4,7 @@ open Skipit_cache
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
 module Metrics = Skipit_obs.Metrics
+module H = Stats.Registry.Handle
 
 type pending = {
   entry : Flush_queue.entry;
@@ -19,114 +20,150 @@ type submit_result =
   | Coalesced of { commit_at : int; ack_at : int }
   | Accepted of pending
 
-(* Live pendings sit in an intrusive doubly-linked list in submission
-   order (oldest first, matching the order conflict queries expect), so
-   retirement is an O(1) unlink driven by the event wheel instead of the
-   v1 [List.filter] rescan on every query. *)
-type pnode = {
-  pend : pending;
-  mutable pprev : pnode option;
-  mutable pnext : pnode option;
+type client = {
+  apply_meta : addr:int -> Fshr_fsm.meta_effect -> unit;
+  send : addr:int -> kind:Message.wb_kind -> data:int array option -> now:int -> int;
 }
 
 type t = {
   p : Params.t;
   core : int;
+  mutable client : client;
   fshrs : Resource.t;
   (* Queue-slot back-pressure (§5.2): a request may enqueue only once the
      request [flush_queue_depth] positions earlier was dequeued. *)
   admission : Admission.t option;  (* None when depth = 0 (no buffering) *)
-  (* All requests whose ack is still outstanding, oldest first.  Doubles as
-     the flush counter (§5.2) and the §5.3/§5.4 conflict-check structure;
-     the wheel retires each node when the clock passes its [ack_at]. *)
-  mutable phead : pnode option;
-  mutable ptail : pnode option;
-  mutable pcount : int;
-  wheel : pnode Event_wheel.t;
+  (* Every request whose ack is still outstanding, oldest first, in
+     [pends.(0 .. npend - 1)].  Doubles as the flush counter (§5.2) and the
+     §5.3/§5.4 conflict-check structure.  [prune] retires acked entries in
+     one in-place pass; [next_ack] (the earliest live ack, [max_int] when
+     empty) lets it skip the pass when nothing can have retired. *)
+  mutable pends : pending array;
+  mutable npend : int;
+  mutable next_ack : int;
   book : Flush_queue.t;  (** Bookkeeping mirror of queued entries for tests. *)
   stats : Stats.Registry.t;
+  h_submitted : H.t;
+  h_coalesced : H.t;
+  h_skip_dropped : H.t;
+  h_fshr_allocs : H.t;
+  h_fshr_busy : H.t;
+  h_wb_with_data : H.t;
+  h_wb_without_data : H.t;
+  fshr_comp : string;  (* metrics names, built once *)
+  dequeues_comp : string;
 }
 
+(* Filler for the unused tail of [pends]: keeps retired requests from
+   being retained, and being long-lived it lets a large [Array.make] skip
+   the minor collection a young initial value would force. *)
+let no_pending =
+  let entry =
+    { Flush_queue.addr = -1; kind = Message.Wb_clean; hit = false; dirty = false; enq_at = 0;
+      coalesced = 0 }
+  in
+  { entry; commit_at = 0; alloc_at = 0; meta_write_at = None; buffer_ready_at = None;
+    release_at = 0; ack_at = 0 }
+
+let unconnected =
+  let fail () = invalid_arg "Flush_unit: no client connected" in
+  { apply_meta = (fun ~addr:_ _ -> fail ()); send = (fun ~addr:_ ~kind:_ ~data:_ ~now:_ -> fail ()) }
+
 let create p ~core =
+  let stats = Stats.Registry.create () in
+  let h = H.create stats in
   {
     p;
     core;
+    client = unconnected;
     fshrs = Resource.create ~count:p.Params.n_fshrs (Printf.sprintf "fshr-%d" core);
     admission =
       (if p.Params.flush_queue_depth > 0 then
          Some (Admission.create ~capacity:p.Params.flush_queue_depth)
        else None);
-    phead = None;
-    ptail = None;
-    pcount = 0;
-    wheel = Event_wheel.create ();
+    pends = Array.make 16 no_pending;
+    npend = 0;
+    next_ack = max_int;
     book =
       Flush_queue.create
         ~name:(Printf.sprintf "fu.%d.q" core)
         ~depth:(max 1 p.Params.flush_queue_depth) ();
-    stats = Stats.Registry.create ();
+    stats;
+    h_submitted = h "submitted";
+    h_coalesced = h "coalesced";
+    h_skip_dropped = h "skip_dropped";
+    h_fshr_allocs = h "fshr_allocs";
+    h_fshr_busy = h "fshr_busy_cycles";
+    h_wb_with_data = h "wb_with_data";
+    h_wb_without_data = h "wb_without_data";
+    fshr_comp = Printf.sprintf "fu.%d.fshr" core;
+    dequeues_comp = Printf.sprintf "fu.%d.dequeues" core;
   }
 
+let connect t client = t.client <- client
 let stats t = t.stats
-let note_skip_drop t = Stats.Registry.incr t.stats "skip_dropped"
+let note_skip_drop t = H.incr t.h_skip_dropped
 
 let append_pending t pend =
-  let n = { pend; pprev = t.ptail; pnext = None } in
-  (match t.ptail with
-   | Some tail -> tail.pnext <- Some n
-   | None -> t.phead <- Some n);
-  t.ptail <- Some n;
-  t.pcount <- t.pcount + 1;
-  ignore (Event_wheel.insert t.wheel ~at:pend.ack_at n)
+  if t.npend = Array.length t.pends then begin
+    let bigger = Array.make (2 * t.npend) no_pending in
+    Array.blit t.pends 0 bigger 0 t.npend;
+    t.pends <- bigger
+  end;
+  t.pends.(t.npend) <- pend;
+  t.npend <- t.npend + 1;
+  if pend.ack_at < t.next_ack then t.next_ack <- pend.ack_at
 
-let unlink_pending t n =
-  (match n.pprev with
-   | Some p -> p.pnext <- n.pnext
-   | None -> t.phead <- n.pnext);
-  (match n.pnext with
-   | Some nx -> nx.pprev <- n.pprev
-   | None -> t.ptail <- n.pprev);
-  n.pprev <- None;
-  n.pnext <- None;
-  t.pcount <- t.pcount - 1
+(* Retire every request acked at or before [now], keeping the rest in
+   submission order.  A query may carry a [now] behind an earlier one (a
+   cross-core probe brings the probing core's clock); entries acked after
+   it simply stay until a later query reaches their ack. *)
+let retire t ~now =
+  if t.next_ack <= now then begin
+    let kept = ref 0 and next = ref max_int in
+    for i = 0 to t.npend - 1 do
+      let p = Array.unsafe_get t.pends i in
+      if p.ack_at > now then begin
+        Array.unsafe_set t.pends !kept p;
+        incr kept;
+        if p.ack_at < !next then next := p.ack_at
+      end
+    done;
+    Array.fill t.pends !kept (t.npend - !kept) no_pending;
+    t.npend <- !kept;
+    t.next_ack <- !next
+  end
 
-(* Allocation-free fold over the live pendings, oldest first. *)
-let fold_pendings t ~init f =
-  let rec go acc = function
-    | None -> acc
-    | Some n -> go (f acc n.pend) n.pnext
-  in
-  go init t.phead
+(* Is booked entry [e] still waiting in the queue for an FSHR at [now]? *)
+let rec awaiting_fshr pends n e ~now i =
+  i < n
+  && (let p = Array.unsafe_get pends i in
+      (p.entry == e && p.alloc_at > now) || awaiting_fshr pends n e ~now (i + 1))
 
-let exists_pending t f =
-  let rec go = function
-    | None -> false
-    | Some n -> f n.pend || go n.pnext
-  in
-  go t.phead
-
-let first_pending t f =
-  let rec go = function
-    | None -> None
-    | Some n -> if f n.pend then Some n.pend else go n.pnext
-  in
-  go t.phead
+let rec drop_booked t ~now =
+  if not (Flush_queue.is_empty t.book) then
+    if not (awaiting_fshr t.pends t.npend (Flush_queue.oldest t.book) ~now 0) then begin
+      Flush_queue.drop_oldest t.book;
+      drop_booked t ~now
+    end
 
 (* Retire completed requests from the conflict structures. *)
 let prune t ~now =
-  Event_wheel.advance t.wheel ~now (fun n -> unlink_pending t n);
-  let rec drop_booked () =
-    match Flush_queue.peek t.book with
-    | Some e when not (exists_pending t (fun p -> p.entry == e && p.alloc_at > now)) ->
-      ignore (Flush_queue.dequeue t.book);
-      drop_booked ()
-    | Some _ | None -> ()
-  in
-  drop_booked ()
+  retire t ~now;
+  drop_booked t ~now
+
+(* Index of the oldest live request for line [addr], or [-1]. *)
+let rec index_of_line pends n addr i =
+  if i >= n then -1
+  else if (Array.unsafe_get pends i).entry.Flush_queue.addr = addr then i
+  else index_of_line pends n addr (i + 1)
+
+let pending_index t ~addr ~now =
+  prune t ~now;
+  index_of_line t.pends t.npend addr 0
 
 let find_pending t ~addr ~now =
-  prune t ~now;
-  first_pending t (fun p -> p.entry.Flush_queue.addr = addr)
+  match pending_index t ~addr ~now with -1 -> None | i -> Some t.pends.(i)
 
 (* The §5.3 coalescing partner: a request of the same kind to the same
    line, still PENDING IN THE FLUSH QUEUE (not yet dequeued into an FSHR —
@@ -135,25 +172,28 @@ let find_pending t ~addr ~now =
    coalescing self-regulating: when the FSHRs keep up, requests leave the
    queue immediately and nothing merges; when they back up, same-line
    requests pile onto the queued entry — exactly the burst-absorbing
-   behaviour §5.2 describes. *)
-let find_coalescible t ~addr ~kind ~last_line_change ~now =
-  prune t ~now;
-  first_pending t (fun p ->
-    p.entry.Flush_queue.addr = addr
-    && p.entry.Flush_queue.kind = kind
-    && p.alloc_at > now
-    && p.entry.Flush_queue.enq_at >= last_line_change)
+   behaviour §5.2 describes.  Returns its index, or [-1]. *)
+let rec coalescible pends n ~addr ~kind ~last_line_change ~now i =
+  if i >= n then -1
+  else
+    let p = Array.unsafe_get pends i in
+    let e = p.entry in
+    if e.Flush_queue.addr = addr && e.Flush_queue.kind = kind && p.alloc_at > now
+       && e.Flush_queue.enq_at >= last_line_change
+    then i
+    else coalescible pends n ~addr ~kind ~last_line_change ~now (i + 1)
 
-(* Fig. 7 FSM states as trace events ([Invalid] is not a resident state). *)
-let trace_state = function
-  | Fshr_fsm.Meta_write -> Some Trace.Fs_meta_write
-  | Fshr_fsm.Fill_buffer -> Some Trace.Fs_fill_buffer
-  | Fshr_fsm.Root_release_data -> Some Trace.Fs_release_data
-  | Fshr_fsm.Root_release -> Some Trace.Fs_release
-  | Fshr_fsm.Root_release_ack -> Some Trace.Fs_release_ack
-  | Fshr_fsm.Invalid -> None
+let fshr_ev t ~at ~idx ~addr ~tkind op =
+  Trace.emit ~at (Trace.Fshr { core = t.core; idx; op; addr; kind = tkind })
 
-let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send =
+let fshr_step t ~at ~idx ~addr ~tkind s =
+  if Trace.enabled () then fshr_ev t ~at ~idx ~addr ~tkind (Trace.Fshr_step s)
+
+let state_cycles t s =
+  Fshr_fsm.state_cycles s ~meta_cycles:t.p.Params.l1_meta_access
+    ~fill_cycles:(Params.fill_buffer_cycles t.p) ~data_beats:(Params.data_beats t.p)
+
+let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now =
   assert (Option.is_some line_data = (hit && dirty));
   let depth = t.p.Params.flush_queue_depth in
   (* A full queue nacks the LSU, which retries — modelled as the stall
@@ -167,107 +207,118 @@ let submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send =
     { Flush_queue.addr; kind; hit; dirty; enq_at; coalesced = 0 }
   in
   ignore (Flush_queue.enqueue t.book entry);
-  Stats.Registry.incr t.stats "fshr_allocs";
+  H.incr t.h_fshr_allocs;
   let tkind = Flush_queue.trace_kind kind in
-  let fshr_ev ~at ~idx op =
-    Trace.emit ~at (Trace.Fshr { core = t.core; idx; op; addr; kind = tkind })
-  in
-  (* FSHR allocation and the Fig. 7 walk.  The FSHR is occupied from
-     dequeue until the RootReleaseAck returns (root_release_ack state). *)
-  let buffer_ready = ref None in
-  let meta_write = ref None in
-  let release_time = ref 0 in
-  let ack_time = ref 0 in
   (* The FSHR walk (and the root-release it sends) drains in the background
      after the CBO commits at [enq_at]; its future-dated completion times
      must not advance the attribution cursor of the issuing request. *)
   let saved_frame = Attr.suspend () in
-  let _, fshr_alloc_at, _ =
-    Resource.acquire_dyn_idx t.fshrs ~now:enq_at (fun ~idx alloc_at ->
-      if Metrics.enabled () then begin
-        Metrics.alloc (Printf.sprintf "fu.%d.fshr" t.core) ~at:alloc_at;
-        Metrics.count (Printf.sprintf "fu.%d.dequeues" t.core) ~at:alloc_at
-      end;
-      if Trace.enabled () then begin
-        Trace.emit ~at:alloc_at
-          (Trace.Flushq
-             { name = Flush_queue.name t.book; op = Trace.Q_dequeue; addr; kind = tkind });
-        fshr_ev ~at:alloc_at ~idx Trace.Fshr_alloc
-      end;
-      let meta_cycles = t.p.Params.l1_meta_access in
-      let fill_cycles = Params.fill_buffer_cycles t.p in
-      let data_beats = Params.data_beats t.p in
-      let tm = ref alloc_at in
-      List.iter
-        (fun state ->
-          (match state with
-           | Fshr_fsm.Meta_write ->
-             meta_write := Some (!tm + meta_cycles);
-             apply_meta (Fshr_fsm.meta_effect plan)
-           | Fshr_fsm.Fill_buffer -> buffer_ready := Some (!tm + fill_cycles)
-           | Fshr_fsm.Invalid | Fshr_fsm.Root_release_data | Fshr_fsm.Root_release
-           | Fshr_fsm.Root_release_ack -> ());
-          (if Trace.enabled () then
-             match trace_state state with
-             | Some s -> fshr_ev ~at:!tm ~idx (Trace.Fshr_step s)
-             | None -> ());
-          tm := !tm + Fshr_fsm.state_cycles state ~meta_cycles ~fill_cycles ~data_beats)
-        (Fshr_fsm.path plan);
-      release_time := !tm;
-      let data = if Fshr_fsm.sends_data plan then line_data else None in
-      Stats.Registry.incr t.stats (if data = None then "wb_without_data" else "wb_with_data");
-      ack_time := send ~data ~now:!tm;
-      if Trace.enabled () then fshr_ev ~at:!ack_time ~idx Trace.Fshr_free;
-      if Metrics.enabled () then
-        Metrics.free (Printf.sprintf "fu.%d.fshr" t.core) ~at:!ack_time;
-      !ack_time)
+  (* FSHR allocation.  The FSHR is occupied from dequeue until the
+     RootReleaseAck returns (root_release_ack state). *)
+  let idx = Resource.pick t.fshrs in
+  let alloc_at = Resource.start_on t.fshrs idx ~now:enq_at in
+  if Metrics.enabled () then begin
+    Metrics.alloc t.fshr_comp ~at:alloc_at;
+    Metrics.count t.dequeues_comp ~at:alloc_at
+  end;
+  if Trace.enabled () then begin
+    Trace.emit ~at:alloc_at
+      (Trace.Flushq
+         { name = Flush_queue.name t.book; op = Trace.Q_dequeue; addr; kind = tkind });
+    fshr_ev t ~at:alloc_at ~idx ~addr ~tkind Trace.Fshr_alloc
+  end;
+  (* The Fig. 7 walk ({!Fshr_fsm.path}) in straight-line code:
+     [meta_write] when the request changes the line's metadata,
+     [fill_buffer] when the release carries the line, then the release and
+     the wait for its ack. *)
+  let with_data = Fshr_fsm.sends_data plan in
+  let meta_write_at =
+    match Fshr_fsm.meta_effect plan with
+    | Fshr_fsm.No_meta_change -> None
+    | effect ->
+      t.client.apply_meta ~addr effect;
+      fshr_step t ~at:alloc_at ~idx ~addr ~tkind Trace.Fs_meta_write;
+      Some (alloc_at + state_cycles t Fshr_fsm.Meta_write)
   in
+  let tm = match meta_write_at with Some at -> at | None -> alloc_at in
+  let buffer_ready_at =
+    if with_data then begin
+      fshr_step t ~at:tm ~idx ~addr ~tkind Trace.Fs_fill_buffer;
+      Some (tm + state_cycles t Fshr_fsm.Fill_buffer)
+    end
+    else None
+  in
+  let tm = match buffer_ready_at with Some at -> at | None -> tm in
+  let release_at =
+    if with_data then begin
+      fshr_step t ~at:tm ~idx ~addr ~tkind Trace.Fs_release_data;
+      tm + state_cycles t Fshr_fsm.Root_release_data
+    end
+    else begin
+      fshr_step t ~at:tm ~idx ~addr ~tkind Trace.Fs_release;
+      tm + state_cycles t Fshr_fsm.Root_release
+    end
+  in
+  fshr_step t ~at:release_at ~idx ~addr ~tkind Trace.Fs_release_ack;
+  H.incr (if with_data then t.h_wb_with_data else t.h_wb_without_data);
+  let ack_at =
+    t.client.send ~addr ~kind ~data:(if with_data then line_data else None) ~now:release_at
+  in
+  if Trace.enabled () then fshr_ev t ~at:ack_at ~idx ~addr ~tkind Trace.Fshr_free;
+  if Metrics.enabled () then Metrics.free t.fshr_comp ~at:ack_at;
+  Resource.commit t.fshrs idx ~start:alloc_at ~finish:ack_at;
   Attr.restore saved_frame;
   let pending =
     {
       entry;
-      commit_at = (if depth = 0 then !ack_time else enq_at);
-      alloc_at = fshr_alloc_at;
-      meta_write_at = !meta_write;
-      buffer_ready_at = !buffer_ready;
-      release_at = !release_time;
-      ack_at = !ack_time;
+      commit_at = (if depth = 0 then ack_at else enq_at);
+      alloc_at;
+      meta_write_at;
+      buffer_ready_at;
+      release_at;
+      ack_at;
     }
   in
-  Stats.Registry.add t.stats "fshr_busy_cycles" (!ack_time - fshr_alloc_at);
+  H.add t.h_fshr_busy (ack_at - alloc_at);
   (match t.admission with
-   | Some a -> Admission.release a ~at:pending.alloc_at
+   | Some a -> Admission.release a ~at:alloc_at
    | None -> ());
   append_pending t pending;
   Accepted pending
 
-let submit t ~addr ~kind ~hit ~dirty ~line_data ~last_line_change ~now ~apply_meta ~send =
-  Stats.Registry.incr t.stats "submitted";
-  if t.p.Params.coalescing then begin
-    match find_coalescible t ~addr ~kind ~last_line_change ~now with
-    | Some partner ->
-      Stats.Registry.incr t.stats "coalesced";
-      Flush_queue.record_coalesce partner.entry;
-      if Trace.enabled () then
-        Trace.emit ~at:now
-          (Trace.Flushq
-             {
-               name = Flush_queue.name t.book;
-               op = Trace.Q_coalesce;
-               addr;
-               kind = Flush_queue.trace_kind kind;
-             });
-      Coalesced { commit_at = now; ack_at = partner.ack_at }
-    | None -> submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send
+let submit t ~addr ~kind ~hit ~dirty ~line_data ~last_line_change ~now =
+  H.incr t.h_submitted;
+  let partner =
+    if t.p.Params.coalescing then begin
+      prune t ~now;
+      coalescible t.pends t.npend ~addr ~kind ~last_line_change ~now 0
+    end
+    else -1
+  in
+  if partner < 0 then submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now
+  else begin
+    let partner = t.pends.(partner) in
+    H.incr t.h_coalesced;
+    Flush_queue.record_coalesce partner.entry;
+    if Trace.enabled () then
+      Trace.emit ~at:now
+        (Trace.Flushq
+           {
+             name = Flush_queue.name t.book;
+             op = Trace.Q_coalesce;
+             addr;
+             kind = Flush_queue.trace_kind kind;
+           });
+    Coalesced { commit_at = now; ack_at = partner.ack_at }
   end
-  else submit_fresh t ~addr ~kind ~hit ~dirty ~line_data ~now ~apply_meta ~send
 
 type load_conflict = Load_no_conflict | Load_forward of int | Load_wait of int
 
 let load_conflict t ~addr ~now =
-  match find_pending t ~addr ~now with
-  | None -> Load_no_conflict
-  | Some p -> (
+  match pending_index t ~addr ~now with
+  | -1 -> Load_no_conflict
+  | i -> (
+    let p = t.pends.(i) in
     (* Forwarding from the FSHR's data buffer is only sound while
        [flush_rdy] is still low (before the release): probes are interlocked
        out then (§5.4.1), so the buffer provably holds the line's current
@@ -279,9 +330,10 @@ let load_conflict t ~addr ~now =
     | Some _ | None -> Load_wait (max now p.ack_at))
 
 let store_proceed_at t ~addr ~now =
-  match find_pending t ~addr ~now with
-  | None -> None
-  | Some p -> (
+  match pending_index t ~addr ~now with
+  | -1 -> None
+  | i -> (
+    let p = t.pends.(i) in
     match p.entry.Flush_queue.kind with
     | Message.Wb_flush -> Some (max now p.ack_at)
     | Message.Wb_clean -> (
@@ -293,10 +345,13 @@ let store_proceed_at t ~addr ~now =
 
 let block_until t ~addr ~now =
   prune t ~now;
-  fold_pendings t ~init:now (fun acc p ->
+  let until = ref now in
+  for i = 0 to t.npend - 1 do
+    let p = Array.unsafe_get t.pends i in
     if p.entry.Flush_queue.addr = addr && p.alloc_at <= now && p.release_at > now then
-      max acc p.release_at
-    else acc)
+      until := max !until p.release_at
+  done;
+  !until
 
 let probe_block_until t ~addr ~cap ~now =
   Flush_queue.probe_invalidate t.book ~addr ~cap;
@@ -308,11 +363,15 @@ let evict_block_until t ~addr ~now =
 
 let fence_ready_at t ~now =
   prune t ~now;
-  fold_pendings t ~init:now (fun acc p -> max acc p.ack_at)
+  let ready = ref now in
+  for i = 0 to t.npend - 1 do
+    ready := max !ready (Array.unsafe_get t.pends i).ack_at
+  done;
+  !ready
 
 let outstanding t ~now =
   prune t ~now;
-  t.pcount
+  t.npend
 
 let fshrs t = t.fshrs
 let queue_occupants t = match t.admission with Some a -> Admission.occupants a | None -> 0
@@ -322,13 +381,11 @@ let crash t =
      structure must come back empty, or the next run on this system would
      inherit phantom back-pressure (leaked FSHR units, stale queue-departure
      times, booked entries that never drain). *)
-  t.phead <- None;
-  t.ptail <- None;
-  t.pcount <- 0;
-  Event_wheel.clear t.wheel;
-  let rec drain () =
-    match Flush_queue.dequeue t.book with Some _ -> drain () | None -> ()
-  in
-  drain ();
+  Array.fill t.pends 0 t.npend no_pending;
+  t.npend <- 0;
+  t.next_ack <- max_int;
+  while not (Flush_queue.is_empty t.book) do
+    Flush_queue.drop_oldest t.book
+  done;
   Resource.reset t.fshrs;
   match t.admission with Some a -> Admission.reset a | None -> ()

@@ -41,6 +41,18 @@ type t
 
 val create : Params.t -> core:int -> t
 
+(** The data cache the unit belongs to, bound once by {!connect}. *)
+type client = {
+  apply_meta : addr:int -> Fshr_fsm.meta_effect -> unit;
+      (** Apply the Fig. 7 metadata effect to the (present) line [addr]. *)
+  send : addr:int -> kind:Message.wb_kind -> data:int array option -> now:int -> int;
+      (** Perform the RootRelease against the L2; returns the ack arrival
+          time. *)
+}
+
+val connect : t -> client -> unit
+(** Bind the client; {!submit} raises [Invalid_argument] before this. *)
+
 val submit :
   t ->
   addr:int ->
@@ -50,16 +62,13 @@ val submit :
   line_data:int array option ->
   last_line_change:int ->
   now:int ->
-  apply_meta:(Fshr_fsm.meta_effect -> unit) ->
-  send:(data:int array option -> now:int -> int) ->
   submit_result
 (** [submit] a CBO.X that reached the data cache at [now] with the given
     metadata snapshot.  [line_data] must be [Some] iff [hit && dirty] (the
     dirty line captured for the data buffer).  [last_line_change] is the
     last cycle the line's state was mutated — coalescing is legal only with
-    entries enqueued after that (§5.3).  [apply_meta] applies the Fig. 7
-    metadata effect; [send ~data ~now] performs the RootRelease against the
-    L2 and returns the ack arrival time. *)
+    entries enqueued after that (§5.3).  The FSHR walk calls the client's
+    [apply_meta] and [send]. *)
 
 val find_pending : t -> addr:int -> now:int -> pending option
 (** The in-flight request for this line, if any (queue or FSHR). *)

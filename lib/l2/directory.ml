@@ -7,14 +7,13 @@ let create ~n_cores ~data ~dirty = { dirty; data; owners = Array.make n_cores Pe
 let owner_perm t core = t.owners.(core)
 let set_owner t core perm = t.owners.(core) <- perm
 
-let trunk_owner t =
-  let n = Array.length t.owners in
-  let rec scan i =
-    if i >= n then None
-    else if Perm.equal t.owners.(i) Perm.Trunk then Some i
-    else scan (i + 1)
-  in
-  scan 0
+let rec trunk_from owners i =
+  if i >= Array.length owners then -1
+  else if Perm.equal owners.(i) Perm.Trunk then i
+  else trunk_from owners (i + 1)
+
+let trunk_core t = trunk_from t.owners 0
+let trunk_owner t = match trunk_core t with -1 -> None | i -> Some i
 
 let owners_above t level =
   let acc = ref [] in

@@ -21,6 +21,9 @@ val set_owner : t -> int -> Perm.t -> unit
 val trunk_owner : t -> int option
 (** The unique client holding Trunk, if any. *)
 
+val trunk_core : t -> int
+(** {!trunk_owner} without the [option]: the core, or [-1]. *)
+
 val owners_above : t -> Perm.t -> int list
 (** Clients holding strictly more than the given level. *)
 

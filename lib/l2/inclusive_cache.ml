@@ -4,6 +4,7 @@ open Skipit_cache
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
 module Metrics = Skipit_obs.Metrics
+module H = Stats.Registry.Handle
 
 type probe_result = Port.probe_result = {
   dirty_data : int array option;
@@ -16,6 +17,15 @@ type grant = Port.grant = {
   l2_dirty : bool;
   done_at : int;
 }
+
+(* One per-access counter: aggregate counters keep their monolithic names
+   (the golden pins); per-bank shadows are kept only when actually
+   banked. *)
+type stat = { agg : H.t; own : H.t; banked : bool }
+
+let bump s =
+  H.incr s.agg;
+  if s.banked then H.incr s.own
 
 (* One NUCA bank: a full slice of the inclusive LLC's control and data
    structures.  Lines are interleaved across banks by an XOR-fold of the
@@ -36,6 +46,16 @@ type bank = {
   slices : Resource.Banked.t;  (* BankedStore data slices *)
   b_stats : Stats.Registry.t;  (* per-bank counters, exported when banked *)
   mshr_comp : string;  (* trace/metrics component for this bank's MSHRs *)
+  s_hits : stat;
+  s_misses : stat;
+  s_probes : stat;
+  s_evictions : stat;
+  s_dram_writebacks : stat;
+  s_trivial_skips : stat;
+  s_grants_dirty : stat;
+  s_grants_clean : stat;
+  s_root_releases : stat;
+  s_root_invals : stat;
 }
 
 type t = {
@@ -68,12 +88,40 @@ let log2 n =
 let create p ~backend =
   let n = p.Params.l2_banks in
   let g = p.Params.l2_geom in
+  let stats = Stats.Registry.create () in
   let bank_geom =
     if n = 1 then g
     else
       Geometry.v
         ~size_bytes:(g.Geometry.size_bytes / n)
         ~ways:g.Geometry.ways ~line_bytes:g.Geometry.line_bytes
+  in
+  let bank i =
+    let b_stats = Stats.Registry.create () in
+    let stat name = { agg = H.create stats name; own = H.create b_stats name; banked = n > 1 } in
+    {
+      b_idx = i;
+      store = Store.create bank_geom;
+      mshrs =
+        Resource.create ~count:p.Params.l2_mshrs
+          (if n = 1 then "l2-mshrs" else Printf.sprintf "l2.bank%d-mshrs" i);
+      list_buffer = Admission.create ~capacity:p.Params.l2_list_buffer;
+      slices =
+        Resource.Banked.create ~banks:p.Params.l2_slices
+          (if n = 1 then "l2-banks" else Printf.sprintf "l2.bank%d-slices" i);
+      b_stats;
+      mshr_comp = (if n = 1 then "l2.mshr" else Printf.sprintf "l2.bank.%d.mshr" i);
+      s_hits = stat "hits";
+      s_misses = stat "misses";
+      s_probes = stat "probes";
+      s_evictions = stat "evictions";
+      s_dram_writebacks = stat "dram_writebacks";
+      s_trivial_skips = stat "trivial_skips";
+      s_grants_dirty = stat "grants_dirty";
+      s_grants_clean = stat "grants_clean";
+      s_root_releases = stat "root_releases";
+      s_root_invals = stat "root_invals";
+    }
   in
   {
     p;
@@ -85,25 +133,11 @@ let create p ~backend =
        if n > 1 && s > 1 && s land (s - 1) = 0 then s - 1 else 0);
     lb = g.Geometry.line_bytes;
     acq_stage = (if n > 1 then Attr.Bank_wait else Attr.L2);
-    banks =
-      Array.init n (fun i ->
-        {
-          b_idx = i;
-          store = Store.create bank_geom;
-          mshrs =
-            Resource.create ~count:p.Params.l2_mshrs
-              (if n = 1 then "l2-mshrs" else Printf.sprintf "l2.bank%d-mshrs" i);
-          list_buffer = Admission.create ~capacity:p.Params.l2_list_buffer;
-          slices =
-            Resource.Banked.create ~banks:p.Params.l2_slices
-              (if n = 1 then "l2-banks" else Printf.sprintf "l2.bank%d-slices" i);
-          b_stats = Stats.Registry.create ();
-          mshr_comp = (if n = 1 then "l2.mshr" else Printf.sprintf "l2.bank.%d.mshr" i);
-        });
+    banks = Array.init n bank;
     backend;
     ports = Array.make p.Params.n_cores None;
     probe_buf = Array.make p.Params.n_cores 0;
-    stats = Stats.Registry.create ();
+    stats;
   }
 
 let stats t = t.stats
@@ -147,12 +181,6 @@ let decompress t b caddr =
     let high = caddr / t.lb in
     ((high lsl t.bank_shift) lor (b.b_idx lxor fold_hash t high)) * t.lb
 
-(* Aggregate counters keep their monolithic names (the golden pins);
-   per-bank shadows are kept only when actually banked. *)
-let incr_stat t b name =
-  Stats.Registry.incr t.stats name;
-  if t.n_banks > 1 then Stats.Registry.incr b.b_stats name
-
 let l2_ev ~at ~addr op = if Trace.enabled () then Trace.emit ~at (Trace.L2 { op; addr })
 
 (* Within a NUCA bank the data-array slice is picked by the same XOR-fold
@@ -165,11 +193,8 @@ let slice_access t b ~caddr ~now =
     if t.slice_mask = 0 then caddr
     else fold ~shift:t.slice_shift ~mask:t.slice_mask (caddr / t.lb) * t.lb
   in
-  let _, finish =
-    Resource.Banked.acquire b.slices ~addr ~line_bytes:t.lb ~now
-      ~busy:t.p.Params.l2_slice_busy
-  in
-  finish
+  Resource.Banked.acquire_finish b.slices ~addr ~line_bytes:t.lb ~now
+    ~busy:t.p.Params.l2_slice_busy
 
 (* Probe one client.  The client agent behind the port accounts for its own
    processing and the C-channel serialization; we add the outgoing B-channel
@@ -177,7 +202,7 @@ let slice_access t b ~caddr ~now =
 let probe_one t b ~core ~addr ~cap ~now =
   match t.ports.(core) with
   | Some port ->
-    incr_stat t b "probes";
+    bump b.s_probes;
     l2_ev ~at:now ~addr L2_probe;
     Port.probe port ~addr ~cap ~now:(now + t.p.Params.link_latency)
   | None -> invalid_arg (Printf.sprintf "Inclusive_cache: no client port for core %d" core)
@@ -208,12 +233,12 @@ let probe_all t b ~addr ~cap ~n ~now dir =
 let evict_victim t b id ~now =
   let vaddr = decompress t b (Store.slot_addr b.store id) in
   let dir = Store.payload b.store id in
-  incr_stat t b "evictions";
+  bump b.s_evictions;
   l2_ev ~at:now ~addr:vaddr L2_evict;
   let n = Directory.owners_into dir Perm.Nothing ~exclude:(-1) t.probe_buf in
   let t_probed = probe_all t b ~addr:vaddr ~cap:Perm.Nothing ~n ~now dir in
   if dir.Directory.dirty then begin
-    incr_stat t b "dram_writebacks";
+    bump b.s_dram_writebacks;
     l2_ev ~at:t_probed ~addr:vaddr L2_writeback;
     (* DRAM write proceeds off the critical path: keep its future-dated
        completion out of the attribution cursor. *)
@@ -224,98 +249,91 @@ let evict_victim t b id ~now =
   Store.invalidate b.store id;
   t_probed
 
+(* An MSHR of bank [b], picked by the caller ([Resource.pick]), starts
+   serving a transaction at [at]. *)
+let mshr_alloc t b ~idx ~at =
+  if Trace.enabled () then
+    Trace.emit ~at (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_alloc });
+  Attr.mark t.acq_stage ~at;
+  if Metrics.enabled () then Metrics.alloc b.mshr_comp ~at
+
+(* ... and is released at [finish]. *)
+let mshr_free b ~idx ~start ~finish =
+  if Trace.enabled () then
+    Trace.emit ~at:finish (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_free });
+  if Metrics.enabled () then Metrics.free b.mshr_comp ~at:finish;
+  Resource.commit b.mshrs idx ~start ~finish
+
 let acquire t ~core ~addr ~grow ~now =
   let addr = line t addr in
   let b = bank_for t addr in
   let caddr = compress t addr in
   let arrive = now + t.p.Params.link_latency in
   let target = Perm.grow_to grow in
-  let result = ref (false, [||]) in
-  let _, _, finish =
-    Resource.acquire_dyn_idx b.mshrs ~now:arrive (fun ~idx start ->
-      if Trace.enabled () then
-        Trace.emit ~at:start (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_alloc });
-      Attr.mark t.acq_stage ~at:start;
-      if Metrics.enabled () then Metrics.alloc b.mshr_comp ~at:start;
-      let mshr_free ~at =
-        if Trace.enabled () then
-          Trace.emit ~at (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_free });
-        if Metrics.enabled () then Metrics.free b.mshr_comp ~at;
-        at
+  let idx = Resource.pick b.mshrs in
+  let start = Resource.start_on b.mshrs idx ~now:arrive in
+  mshr_alloc t b ~idx ~at:start;
+  let tm = start + t.p.Params.l2_tag_access in
+  let id = Store.find b.store caddr in
+  let dir, finish =
+    if id <> Store.miss then begin
+      bump b.s_hits;
+      l2_ev ~at:start ~addr L2_hit;
+      let dir = Store.payload b.store id in
+      let n_probe =
+        match target with
+        | Perm.Trunk -> Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf
+        | Perm.Branch | Perm.Nothing ->
+          (match Directory.trunk_core dir with
+           | c when c >= 0 && c <> core ->
+             t.probe_buf.(0) <- c;
+             1
+           | _ -> 0)
       in
-      let tm = start + t.p.Params.l2_tag_access in
-      match Store.find b.store caddr with
-      | id when id <> Store.miss ->
-        incr_stat t b "hits";
-        l2_ev ~at:start ~addr L2_hit;
-        let dir = Store.payload b.store id in
-        let n_probe =
-          match target with
-          | Perm.Trunk -> Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf
-          | Perm.Branch | Perm.Nothing ->
-            (match Directory.trunk_owner dir with
-             | Some c when c <> core ->
-               t.probe_buf.(0) <- c;
-               1
-             | Some _ | None -> 0)
-        in
-        let cap = match target with Perm.Trunk -> Perm.Nothing | _ -> Perm.Branch in
-        let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
-        let tm = slice_access t b ~caddr ~now:tm in
-        Directory.set_owner dir core target;
-        Store.touch b.store id ~now:tm;
-        result := (dir.Directory.dirty, Array.copy dir.Directory.data);
-        Attr.mark Attr.L2 ~at:tm;
-        mshr_free ~at:tm
-      | _ ->
-        incr_stat t b "misses";
-        l2_ev ~at:start ~addr L2_miss;
-        let victim = Store.victim b.store caddr in
-        let t_evict =
-          if Store.is_valid b.store victim then evict_victim t b victim ~now:tm else tm
-        in
-        Attr.mark Attr.L2 ~at:t_evict;
-        let data, t_data, dirty_below = Backend.read_line t.backend ~addr ~now:tm in
-        (* A dirty memory-side copy means the line is not persisted: the
-           L2 copy inherits the dirty bit so grants carry GrantDataDirty
-           and a later RootRelease pushes it to DRAM (§6.2 one level
-           deeper). *)
-        let dir =
-          Directory.create ~n_cores:t.p.Params.n_cores ~data:(Array.copy data)
-            ~dirty:dirty_below
-        in
-        Directory.set_owner dir core target;
-        let t_fill = max t_evict t_data in
-        Store.fill b.store victim ~addr:caddr ~payload:dir ~now:t_fill;
-        result := (dirty_below, Array.copy data);
-        Attr.mark Attr.L2 ~at:t_fill;
-        mshr_free ~at:t_fill)
+      let cap = match target with Perm.Trunk -> Perm.Nothing | _ -> Perm.Branch in
+      let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
+      let tm = slice_access t b ~caddr ~now:tm in
+      Directory.set_owner dir core target;
+      Store.touch b.store id ~now:tm;
+      dir, tm
+    end
+    else begin
+      bump b.s_misses;
+      l2_ev ~at:start ~addr L2_miss;
+      let victim = Store.victim b.store caddr in
+      let t_evict =
+        if Store.is_valid b.store victim then evict_victim t b victim ~now:tm else tm
+      in
+      Attr.mark Attr.L2 ~at:t_evict;
+      let data, t_data, dirty_below = Backend.read_line t.backend ~addr ~now:tm in
+      (* A dirty memory-side copy means the line is not persisted: the L2
+         copy inherits the dirty bit so grants carry GrantDataDirty and a
+         later RootRelease pushes it to DRAM (§6.2 one level deeper). *)
+      let dir =
+        Directory.create ~n_cores:t.p.Params.n_cores ~data:(Array.copy data) ~dirty:dirty_below
+      in
+      Directory.set_owner dir core target;
+      let t_fill = max t_evict t_data in
+      Store.fill b.store victim ~addr:caddr ~payload:dir ~now:t_fill;
+      dir, t_fill
+    end
   in
-  let l2_dirty, data = !result in
-  incr_stat t b (if l2_dirty then "grants_dirty" else "grants_clean");
+  let l2_dirty = dir.Directory.dirty in
+  let data = Array.copy dir.Directory.data in
+  Attr.mark Attr.L2 ~at:finish;
+  mshr_free b ~idx ~start ~finish;
+  bump (if l2_dirty then b.s_grants_dirty else b.s_grants_clean);
   (* D-channel: serialization beats for the data plus travel. *)
   { perm = target; data; l2_dirty; done_at = finish + beats t + t.p.Params.link_latency }
 
 (* Channel-C requests pass through the owning bank's ListBuffer before one
    of its MSHRs; the buffer's admission stall models SinkC back-pressure
-   (§3.4). *)
-let sink_c t b ~arrive f =
-  let admitted = Admission.admit b.list_buffer ~now:arrive in
-  let _, start, finish =
-    Resource.acquire_dyn_idx b.mshrs ~now:admitted (fun ~idx start ->
-      if Trace.enabled () then
-        Trace.emit ~at:start (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_alloc });
-      Attr.mark t.acq_stage ~at:start;
-      if Metrics.enabled () then Metrics.alloc b.mshr_comp ~at:start;
-      let fin = f start in
-      if Trace.enabled () then
-        Trace.emit ~at:fin (Trace.Resource { comp = b.mshr_comp; idx; op = Trace.Res_free });
-      Attr.mark Attr.L2 ~at:fin;
-      if Metrics.enabled () then Metrics.free b.mshr_comp ~at:fin;
-      fin)
-  in
-  Admission.release b.list_buffer ~at:start;
-  finish
+   (§3.4).  Each C-channel handler admits, picks an MSHR, runs from the
+   MSHR's start, and hands both back through [sink_c_done]. *)
+let sink_c_done b ~idx ~start ~finish =
+  Attr.mark Attr.L2 ~at:finish;
+  mshr_free b ~idx ~start ~finish;
+  Admission.release b.list_buffer ~at:start
 
 let release t ~core ~addr ~shrink ~data ~now =
   let addr = line t addr in
@@ -323,135 +341,146 @@ let release t ~core ~addr ~shrink ~data ~now =
   let caddr = compress t addr in
   let arrive = now + t.p.Params.link_latency in
   l2_ev ~at:arrive ~addr L2_release;
+  let admitted = Admission.admit b.list_buffer ~now:arrive in
+  let idx = Resource.pick b.mshrs in
+  let start = Resource.start_on b.mshrs idx ~now:admitted in
+  mshr_alloc t b ~idx ~at:start;
   let finish =
-    sink_c t b ~arrive (fun start ->
-      let tm = start + t.p.Params.l2_tag_access in
-      match Store.find b.store caddr with
-      | id when id <> Store.miss ->
-        let dir = Store.payload b.store id in
-        let tm =
-          match data with
-          | Some d ->
-            let tb = slice_access t b ~caddr ~now:tm in
-            Array.blit d 0 dir.Directory.data 0 (Array.length d);
-            dir.Directory.dirty <- true;
-            tb
-          | None -> tm
-        in
-        Directory.set_owner dir core (Perm.shrink_to shrink);
-        Store.touch b.store id ~now:tm;
-        tm
-      | _ ->
-        (* Inclusion guarantees the line is present whenever a client can
-           release it; reaching this is a coherence bug. *)
-        invalid_arg (Printf.sprintf "Inclusive_cache.release: %#x not present" addr))
+    let tm = start + t.p.Params.l2_tag_access in
+    match Store.find b.store caddr with
+    | id when id <> Store.miss ->
+      let dir = Store.payload b.store id in
+      let tm =
+        match data with
+        | Some d ->
+          let tb = slice_access t b ~caddr ~now:tm in
+          Array.blit d 0 dir.Directory.data 0 (Array.length d);
+          dir.Directory.dirty <- true;
+          tb
+        | None -> tm
+      in
+      Directory.set_owner dir core (Perm.shrink_to shrink);
+      Store.touch b.store id ~now:tm;
+      tm
+    | _ ->
+      (* Inclusion guarantees the line is present whenever a client can
+         release it; reaching this is a coherence bug. *)
+      invalid_arg (Printf.sprintf "Inclusive_cache.release: %#x not present" addr)
   in
+  sink_c_done b ~idx ~start ~finish;
   finish + t.p.Params.link_latency
 
 let root_release t ~core ~addr ~kind ~data ~now =
   let addr = line t addr in
   let b = bank_for t addr in
   let caddr = compress t addr in
-  incr_stat t b "root_releases";
+  bump b.s_root_releases;
   let arrive = now + t.p.Params.link_latency in
   l2_ev ~at:arrive ~addr L2_root_release;
+  let admitted = Admission.admit b.list_buffer ~now:arrive in
+  let idx = Resource.pick b.mshrs in
+  let start = Resource.start_on b.mshrs idx ~now:admitted in
+  mshr_alloc t b ~idx ~at:start;
   let finish =
-    sink_c t b ~arrive (fun start ->
-      let tm = start + t.p.Params.l2_tag_access in
-      match Store.find b.store caddr with
-      | id when id <> Store.miss ->
-        let dir = Store.payload b.store id in
-        (* The RootRelease doubles as the requester's own permission report:
-           a flush implies it invalidated its copy, a clean keeps it. *)
-        (match kind with
-         | Message.Wb_flush -> Directory.set_owner dir core Perm.Nothing
-         | Message.Wb_clean -> ());
-        let tm =
-          match data with
-          | Some d ->
-            let tb = slice_access t b ~caddr ~now:tm in
-            Array.blit d 0 dir.Directory.data 0 (Array.length d);
-            dir.Directory.dirty <- true;
-            tb
-          | None -> tm
-        in
-        let n_probe, cap =
-          match kind with
-          | Message.Wb_flush ->
-            Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf, Perm.Nothing
-          | Message.Wb_clean ->
-            ( (match Directory.trunk_owner dir with
-               | Some c when c <> core ->
-                 t.probe_buf.(0) <- c;
-                 1
-               | Some _ | None -> 0),
-              Perm.Branch )
-        in
-        let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
-        let tm =
-          if dir.Directory.dirty || not t.p.Params.l2_trivial_skip then begin
-            incr_stat t b "dram_writebacks";
-            l2_ev ~at:tm ~addr L2_writeback;
-            let tb = slice_access t b ~caddr ~now:tm in
-            let td = Backend.persist_line t.backend ~addr ~data:dir.Directory.data ~now:tb in
-            dir.Directory.dirty <- false;
-            td
-          end
-          else begin
-            incr_stat t b "trivial_skips";
-            l2_ev ~at:tm ~addr L2_trivial_skip;
-            (* The L2 copy is clean, but a dirty copy may sit in a
-               memory-side cache below: it must be pushed for the ack to
-               mean "persisted". *)
-            Backend.persist_if_dirty t.backend ~addr ~now:tm
-          end
-        in
-        (match kind with
-         | Message.Wb_flush -> Store.invalidate b.store id
-         | Message.Wb_clean -> Store.touch b.store id ~now:tm);
-        tm
-      | _ -> (
-        (* Not present in L2: by inclusion no L1 holds it either, so there is
-           nothing to write back above — but a memory-side cache may still
-           hold it dirty, and data carried by the request is pushed
-           straight through (defensive; cannot arise sequentially). *)
+    let tm = start + t.p.Params.l2_tag_access in
+    match Store.find b.store caddr with
+    | id when id <> Store.miss ->
+      let dir = Store.payload b.store id in
+      (* The RootRelease doubles as the requester's own permission report:
+         a flush implies it invalidated its copy, a clean keeps it. *)
+      (match kind with
+       | Message.Wb_flush -> Directory.set_owner dir core Perm.Nothing
+       | Message.Wb_clean -> ());
+      let tm =
         match data with
         | Some d ->
-          incr_stat t b "dram_writebacks";
+          let tb = slice_access t b ~caddr ~now:tm in
+          Array.blit d 0 dir.Directory.data 0 (Array.length d);
+          dir.Directory.dirty <- true;
+          tb
+        | None -> tm
+      in
+      let n_probe =
+        match kind with
+        | Message.Wb_flush -> Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf
+        | Message.Wb_clean -> (
+          match Directory.trunk_core dir with
+          | c when c >= 0 && c <> core ->
+            t.probe_buf.(0) <- c;
+            1
+          | _ -> 0)
+      in
+      let cap = match kind with Message.Wb_flush -> Perm.Nothing | Message.Wb_clean -> Perm.Branch in
+      let tm = probe_all t b ~addr ~cap ~n:n_probe ~now:tm dir in
+      let tm =
+        if dir.Directory.dirty || not t.p.Params.l2_trivial_skip then begin
+          bump b.s_dram_writebacks;
           l2_ev ~at:tm ~addr L2_writeback;
-          Backend.persist_line t.backend ~addr ~data:d ~now:tm
-        | None ->
-          incr_stat t b "trivial_skips";
+          let tb = slice_access t b ~caddr ~now:tm in
+          let td = Backend.persist_line t.backend ~addr ~data:dir.Directory.data ~now:tb in
+          dir.Directory.dirty <- false;
+          td
+        end
+        else begin
+          bump b.s_trivial_skips;
           l2_ev ~at:tm ~addr L2_trivial_skip;
-          Backend.persist_if_dirty t.backend ~addr ~now:tm))
+          (* The L2 copy is clean, but a dirty copy may sit in a
+             memory-side cache below: it must be pushed for the ack to
+             mean "persisted". *)
+          Backend.persist_if_dirty t.backend ~addr ~now:tm
+        end
+      in
+      (match kind with
+       | Message.Wb_flush -> Store.invalidate b.store id
+       | Message.Wb_clean -> Store.touch b.store id ~now:tm);
+      tm
+    | _ -> (
+      (* Not present in L2: by inclusion no L1 holds it either, so there is
+         nothing to write back above — but a memory-side cache may still
+         hold it dirty, and data carried by the request is pushed
+         straight through (defensive; cannot arise sequentially). *)
+      match data with
+      | Some d ->
+        bump b.s_dram_writebacks;
+        l2_ev ~at:tm ~addr L2_writeback;
+        Backend.persist_line t.backend ~addr ~data:d ~now:tm
+      | None ->
+        bump b.s_trivial_skips;
+        l2_ev ~at:tm ~addr L2_trivial_skip;
+        Backend.persist_if_dirty t.backend ~addr ~now:tm)
   in
+  sink_c_done b ~idx ~start ~finish;
   finish + t.p.Params.link_latency
 
 let root_inval t ~core ~addr ~now =
   let addr = line t addr in
   let b = bank_for t addr in
   let caddr = compress t addr in
-  incr_stat t b "root_invals";
+  bump b.s_root_invals;
   let arrive = now + t.p.Params.link_latency in
   l2_ev ~at:arrive ~addr L2_root_inval;
+  let admitted = Admission.admit b.list_buffer ~now:arrive in
+  let idx = Resource.pick b.mshrs in
+  let start = Resource.start_on b.mshrs idx ~now:admitted in
+  mshr_alloc t b ~idx ~at:start;
   let finish =
-    sink_c t b ~arrive (fun start ->
-      let tm = start + t.p.Params.l2_tag_access in
-      match Store.find b.store caddr with
-      | id when id <> Store.miss ->
-        let dir = Store.payload b.store id in
-        Directory.set_owner dir core Perm.Nothing;
-        let n = Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf in
-        (* Probe and revoke; any dirty data handed back is discarded with
-           the line (CBO.INVAL forfeits unwritten data by definition). *)
-        let tm = probe_all t b ~addr ~cap:Perm.Nothing ~n ~now:tm dir in
-        Store.invalidate b.store id;
-        Backend.discard_line t.backend ~addr;
-        tm
-      | _ ->
-        Backend.discard_line t.backend ~addr;
-        tm)
+    let tm = start + t.p.Params.l2_tag_access in
+    match Store.find b.store caddr with
+    | id when id <> Store.miss ->
+      let dir = Store.payload b.store id in
+      Directory.set_owner dir core Perm.Nothing;
+      let n = Directory.owners_into dir Perm.Nothing ~exclude:core t.probe_buf in
+      (* Probe and revoke; any dirty data handed back is discarded with
+         the line (CBO.INVAL forfeits unwritten data by definition). *)
+      let tm = probe_all t b ~addr ~cap:Perm.Nothing ~n ~now:tm dir in
+      Store.invalidate b.store id;
+      Backend.discard_line t.backend ~addr;
+      tm
+    | _ ->
+      Backend.discard_line t.backend ~addr;
+      tm
   in
+  sink_c_done b ~idx ~start ~finish;
   finish + t.p.Params.link_latency
 
 (* Cold lookup shared by the functional/audit read paths. *)

@@ -2,6 +2,7 @@ open Skipit_sim
 open Skipit_cache
 module Trace = Skipit_obs.Trace
 module Attr = Skipit_obs.Attribution
+module H = Stats.Registry.Handle
 
 type line = { mutable dirty : bool; data : int array }
 
@@ -14,6 +15,11 @@ type t = {
   below : Backend.t;
   store : line Store.t;
   stats : Stats.Registry.t;
+  h_hits : H.t;
+  h_misses : H.t;
+  h_evictions : H.t;
+  h_dram_writebacks : H.t;
+  h_persist_writes : H.t;
   mutable clock_hint : int;  (* monotone hint for LRU ordering *)
   mutable port : Backend.t option;  (* upstream (LLC-facing) memside port *)
 }
@@ -27,11 +33,8 @@ let mem_ev t ~at ~addr op =
 let touch_clock t now = if now > t.clock_hint then t.clock_hint <- now
 
 let bank t ~addr ~now =
-  let _, finish =
-    Resource.Banked.acquire t.banks ~addr ~line_bytes:t.geom.Geometry.line_bytes ~now
-      ~busy:t.bank_busy
-  in
-  finish
+  Resource.Banked.acquire_finish t.banks ~addr ~line_bytes:t.geom.Geometry.line_bytes ~now
+    ~busy:t.bank_busy
 
 (* Queueing a request arriving at [now] would suffer on its bank —
    lookahead for the upstream port's stall accounting. *)
@@ -46,11 +49,11 @@ let bank_wait t ~addr ~now =
 let free_slot t ~addr ~now =
   let victim = Store.victim t.store addr in
   if Store.is_valid t.store victim then begin
-    Stats.Registry.incr t.stats "evictions";
+    H.incr t.h_evictions;
     mem_ev t ~at:now ~addr:(Store.slot_addr t.store victim) Trace.Mem_evict;
     let vline = Store.payload t.store victim in
     if vline.dirty then begin
-      Stats.Registry.incr t.stats "dram_writebacks";
+      H.incr t.h_dram_writebacks;
       (* Off the critical path — shield the attribution cursor. *)
       let saved = Attr.suspend () in
       ignore
@@ -68,14 +71,14 @@ let read_line t ~addr ~now =
   let t0 = bank t ~addr ~now:(now + t.access_latency) in
   match Store.find t.store addr with
   | id when id <> Store.miss ->
-    Stats.Registry.incr t.stats "hits";
+    H.incr t.h_hits;
     mem_ev t ~at:t0 ~addr Trace.Mem_hit;
     Store.touch t.store id ~now;
     let line = Store.payload t.store id in
     Attr.mark Attr.Dram ~at:t0;
     Array.copy line.data, t0, line.dirty
   | _ ->
-    Stats.Registry.incr t.stats "misses";
+    H.incr t.h_misses;
     mem_ev t ~at:t0 ~addr Trace.Mem_miss;
     let data, t_dram, _ = Backend.read_line t.below ~addr ~now:t0 in
     let id = free_slot t ~addr ~now:t0 in
@@ -100,7 +103,7 @@ let write_line t ~addr ~data ~now =
 let persist_line t ~addr ~data ~now =
   let addr = line_base t addr in
   touch_clock t now;
-  Stats.Registry.incr t.stats "persist_writes";
+  H.incr t.h_persist_writes;
   let t0 = bank t ~addr ~now:(now + t.access_latency) in
   (* Update (or bypass) the cached copy, leaving it clean; durability comes
      from the write-through. *)
@@ -147,6 +150,7 @@ let crash t =
 
 let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_per_line
     ?(max_inflight = 0) ?(burst_beat_cost = 0) () =
+  let stats = Stats.Registry.create () in
   let t =
     {
       name;
@@ -156,7 +160,12 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
       bank_busy;
       below;
       store = Store.create geom;
-      stats = Stats.Registry.create ();
+      stats;
+      h_hits = H.create stats "hits";
+      h_misses = H.create stats "misses";
+      h_evictions = H.create stats "evictions";
+      h_dram_writebacks = H.create stats "dram_writebacks";
+      h_persist_writes = H.create stats "persist_writes";
       clock_hint = 0;
       port = None;
     }
@@ -166,19 +175,19 @@ let create ?(name = "l3") ~geom ~access_latency ~banks ~bank_busy ~below ~beats_
      queueing we report. *)
   t.port <-
     Some
-      (Backend.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun stats ->
+      (Backend.create ~name ~beats_per_line ~max_inflight ~burst_beat_cost (fun waits ->
          {
            Skipit_tilelink.Port.Memside.read_line =
              (fun ~addr ~now ->
-               Skipit_tilelink.Port.Memside.note_wait stats (bank_wait t ~addr ~now);
+               Skipit_tilelink.Port.Memside.note_wait waits (bank_wait t ~addr ~now);
                read_line t ~addr ~now);
            write_line =
              (fun ~addr ~data ~now ->
-               Skipit_tilelink.Port.Memside.note_wait stats (bank_wait t ~addr ~now);
+               Skipit_tilelink.Port.Memside.note_wait waits (bank_wait t ~addr ~now);
                write_line t ~addr ~data ~now);
            persist_line =
              (fun ~addr ~data ~now ->
-               Skipit_tilelink.Port.Memside.note_wait stats (bank_wait t ~addr ~now);
+               Skipit_tilelink.Port.Memside.note_wait waits (bank_wait t ~addr ~now);
                persist_line t ~addr ~data ~now);
            persist_if_dirty = (fun ~addr ~now -> persist_if_dirty t ~addr ~now);
            discard_line = (fun ~addr -> discard_line t ~addr);

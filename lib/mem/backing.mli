@@ -4,7 +4,11 @@
     locations read as zero, as freshly-allocated DRAM does in the simulated
     machine.  Addresses are byte addresses; accesses are word (8 B) or line
     granular.  This is the value store shared by the DRAM model and by cache
-    data arrays. *)
+    data arrays.  Addresses must be non-negative.
+
+    Contents are kept by 64-byte block (one int-keyed lookup per block, a
+    flat word array and a per-block written-word mask), so a line access
+    costs one lookup rather than a hash operation per word. *)
 
 type t
 

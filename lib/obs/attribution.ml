@@ -18,10 +18,10 @@
    writeback acks — is bracketed with [suspend]/[restore] at the call
    site so its future-dated completion times never pollute the cursor.
 
-   Like [Trace], the sink is domain-local and [enabled ()] is one
-   mutable-ref read, so with no sink installed every hook is a cheap
-   guard and the simulated cycle counts are bit-identical with
-   attribution on or off (recording never alters timing). *)
+   Like [Trace], the sink is domain-local and, with no sink installed in
+   any domain, every hook returns after one load ([Sink.get]); the
+   simulated cycle counts are bit-identical with attribution on or off
+   (recording never alters timing). *)
 
 type stage =
   | Adm_wait  (* admission-queue wait: intended arrival -> worker dequeue *)
@@ -141,18 +141,18 @@ let close t f ~at =
 (* Domain-local, like [Trace.current]: pool jobs on different domains each
    carry their own attribution state, so output is byte-identical at any
    [--jobs] width. *)
-let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let current : t Sink.t = Sink.create ()
 
-let enabled () = Domain.DLS.get current <> None
+let enabled () = Sink.get current <> None
 
 let start ?cores ?keep_records () =
   let t = create ?cores ?keep_records () in
-  Domain.DLS.set current (Some t);
+  Sink.set current (Some t);
   t
 
 let stop () =
-  let t = Domain.DLS.get current in
-  Domain.DLS.set current None;
+  let t = Sink.get current in
+  Sink.set current None;
   t
 
 let ensure_core t core =
@@ -166,7 +166,7 @@ let ensure_core t core =
 (* Bind [f] as the frame for [core]'s in-flight request (or unbind with
    [None]); hierarchy work executed on that core then charges it. *)
 let bind ~core f =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> ()
   | Some t ->
     if core >= 0 then begin
@@ -178,20 +178,20 @@ let bind ~core f =
 (* Dcache entry points call this: instruction execution for [core] is
    beginning, so its frame (if any) becomes the active mark target. *)
 let activate ~core =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> ()
   | Some t ->
     t.active <- (if core >= 0 && core < Array.length t.per_core then t.per_core.(core) else None)
 
 let mark stage ~at =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> ()
   | Some t -> ( match t.active with None -> () | Some f -> mark_frame f stage ~at)
 
 (* Bracket background work (FSHR walks, writeback acks) whose completion
    times are in the future relative to the instruction being attributed. *)
 let suspend () =
-  match Domain.DLS.get current with
+  match Sink.get current with
   | None -> None
   | Some t ->
     let prev = t.active in
@@ -199,7 +199,7 @@ let suspend () =
     prev
 
 let restore prev =
-  match Domain.DLS.get current with None -> () | Some t -> t.active <- prev
+  match Sink.get current with None -> () | Some t -> t.active <- prev
 
 (* == Results ============================================================ *)
 

@@ -3,9 +3,9 @@
     Decomposes a request's arrival -> persist-complete span into exclusive
     per-stage cycles via cursor segmentation: marks partition the span, the
     residual lands in [Other] at close, so stage cycles always sum to the
-    span (conservation by construction).  The sink is domain-local and
-    [enabled ()] is one ref read — with no sink installed every hook is a
-    cheap guard and simulated timing is unchanged. *)
+    span (conservation by construction).  The sink is domain-local (see
+    {!Sink}); with no sink installed in any domain every hook returns after
+    one load, and simulated timing is unchanged. *)
 
 type stage =
   | Adm_wait  (** admission-queue wait: intended arrival -> worker dequeue *)

@@ -5,7 +5,8 @@
    so the registry's contents are a pure function of the simulation and
    byte-identical at any [--jobs] width.  Like [Trace] the installed sink
    is domain-local and every hierarchy hook is guarded by [enabled ()]
-   (one ref read), so an uninstrumented run does no extra work and
+   (one load while no sink is installed anywhere, see [Sink]), so an
+   uninstrumented run does no extra work and
    recording never alters simulated timing.
 
    Occupancy is stored as per-window alloc/free deltas; the level series
@@ -108,28 +109,32 @@ let histogram_observe t name ~at v =
 
 (* == The installed sink (domain-local, like Trace) ====================== *)
 
-let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let current : t Sink.t = Sink.create ()
 
-let enabled () = Domain.DLS.get current <> None
+let enabled () = Sink.get current <> None
 
 let start ?window () =
   let t = create ?window () in
-  Domain.DLS.set current (Some t);
+  Sink.set current (Some t);
   t
 
 let stop () =
-  let t = Domain.DLS.get current in
-  Domain.DLS.set current None;
+  let t = Sink.get current in
+  Sink.set current None;
   t
 
-let with_current f = match Domain.DLS.get current with None -> () | Some t -> f t
+(* Ambient hooks used from the hierarchy: no-ops with no sink installed
+   (and no closure allocated to find that out). *)
+let count name ~at = match Sink.get current with None -> () | Some t -> counter_incr t name ~at
+let add name ~at by = match Sink.get current with None -> () | Some t -> counter_add t name ~at by
 
-(* Ambient hooks used from the hierarchy: no-ops with no sink installed. *)
-let count name ~at = with_current (fun t -> counter_incr t name ~at)
-let add name ~at by = with_current (fun t -> counter_add t name ~at by)
-let alloc name ~at = with_current (fun t -> occupancy_alloc t name ~at)
-let free name ~at = with_current (fun t -> occupancy_free t name ~at)
-let sample name ~at v = with_current (fun t -> histogram_observe t name ~at v)
+let alloc name ~at =
+  match Sink.get current with None -> () | Some t -> occupancy_alloc t name ~at
+
+let free name ~at = match Sink.get current with None -> () | Some t -> occupancy_free t name ~at
+
+let sample name ~at v =
+  match Sink.get current with None -> () | Some t -> histogram_observe t name ~at v
 
 (* == Deterministic views ================================================ *)
 

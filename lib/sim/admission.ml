@@ -1,14 +1,14 @@
 type t = {
   capacity : int;
   (* Departure times recorded but not yet consumed by a later [admit]. *)
-  departures : int Queue.t;
+  departures : Int_ring.t;
   mutable admitted : int;
   mutable released : int;
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Admission.create: capacity must be positive";
-  { capacity; departures = Queue.create (); admitted = 0; released = 0 }
+  { capacity; departures = Int_ring.create ~capacity; admitted = 0; released = 0 }
 
 let capacity t = t.capacity
 
@@ -18,24 +18,23 @@ let peek_entry t ~now =
      the room has been filled.  When that departure has not been recorded
      yet (its occupant is still inside), entry is unboundedly far away. *)
   if t.admitted < t.capacity then now
-  else match Queue.peek_opt t.departures with
-    | Some d -> max now d
-    | None -> max_int
+  else if Int_ring.is_empty t.departures then max_int
+  else max now (Int_ring.peek t.departures)
 
 let admit t ~now =
   t.admitted <- t.admitted + 1;
   (* The k-th admission waits for the departure of the (k - capacity)-th
      occupant; departures are recorded in admission order, so it is the
      FIFO head. *)
-  if t.admitted > t.capacity then max now (Queue.pop t.departures) else now
+  if t.admitted > t.capacity then max now (Int_ring.pop t.departures) else now
 
 let release t ~at =
   t.released <- t.released + 1;
-  Queue.add at t.departures
+  Int_ring.push t.departures at
 
 let occupants t = t.admitted - t.released
 
 let reset t =
-  Queue.clear t.departures;
+  Int_ring.clear t.departures;
   t.admitted <- 0;
   t.released <- 0

@@ -71,6 +71,8 @@ let mem t key =
   let i = probe t.keys t.mask (slot t key) key in
   t.keys.(i) <> empty_key
 
+let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }
+
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty_key;
   t.len <- 0

@@ -80,19 +80,14 @@ let acquire_finish t ~now ~busy =
 
 let acquire_start t ~now ~busy = acquire_finish t ~now ~busy - busy
 
-let acquire_dyn_idx t ~now f =
-  let i = min_index t in
-  let start = max now t.free_at.(i) in
-  let finish = f ~idx:i start in
-  if finish < start then invalid_arg "Resource.acquire_dyn: finish < start";
+let pick t = min_index t
+let start_on t i ~now = max now t.free_at.(i)
+
+let commit t i ~start ~finish =
+  if finish < start then invalid_arg "Resource.commit: finish < start";
   t.free_at.(i) <- finish;
   bumped t ~finish;
-  t.busy_cycles <- t.busy_cycles + (finish - start);
-  i, start, finish
-
-let acquire_dyn t ~now f =
-  let _, start, finish = acquire_dyn_idx t ~now (fun ~idx:_ start -> f start) in
-  start, finish
+  t.busy_cycles <- t.busy_cycles + (finish - start)
 
 let earliest_free t = t.free_at.(min_index t)
 
@@ -123,6 +118,9 @@ module Banked = struct
 
   let acquire t ~addr ~line_bytes ~now ~busy =
     acquire (bank_of t ~addr ~line_bytes) ~now ~busy
+
+  let acquire_finish t ~addr ~line_bytes ~now ~busy =
+    acquire_finish (bank_of t ~addr ~line_bytes) ~now ~busy
 
   let reset t = Array.iter reset t.banks
 end

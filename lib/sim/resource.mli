@@ -29,18 +29,23 @@ val acquire_finish : t -> now:int -> busy:int -> int
 val acquire_start : t -> now:int -> busy:int -> int
 (** {!acquire} returning only [start]. *)
 
-val acquire_dyn : t -> now:int -> (int -> int) -> int * int
-(** [acquire_dyn t ~now f] picks the earliest-free unit; the occupancy is
-    computed from the actual start time: [start = max now unit_free],
-    [finish = f start].  Used for structures held for the whole lifetime of a
-    transaction whose duration depends on downstream contention (MSHRs).
-    [f start] must be [>= start]. *)
+val pick : t -> int
+(** The unit the next acquisition would take: the earliest-free one, the
+    lowest index on ties.  With {!start_on} and {!commit} this acquires a
+    unit for a transaction whose duration depends on downstream contention
+    (MSHRs, FSHRs, memory transaction IDs): pick a unit, run the
+    transaction from its start time, then commit the occupancy.  The unit
+    index also lets observability layers attribute occupancy to individual
+    MSHRs/FSHRs. *)
 
-val acquire_dyn_idx : t -> now:int -> (idx:int -> int -> int) -> int * int * int
-(** Like {!acquire_dyn} but also exposes which unit was picked: the callback
-    receives [~idx] (0-based unit index) and the result is
-    [(idx, start, finish)].  Lets observability layers attribute occupancy to
-    individual MSHRs/FSHRs. *)
+val start_on : t -> int -> now:int -> int
+(** [start_on t i ~now] is when unit [i] can start a request arriving at
+    [now]: [max now (free time of i)]. *)
+
+val commit : t -> int -> start:int -> finish:int -> unit
+(** Occupy unit [i], as returned by {!pick}, from [start] until [finish]
+    ([finish >= start], or [Invalid_argument]).  Other resources may be
+    acquired between {!pick} and {!commit}; this one must not be. *)
 
 val earliest_free : t -> int
 (** Next time at which at least one unit is free (without acquiring). *)
@@ -67,6 +72,9 @@ module Banked : sig
 
   val acquire : t -> addr:int -> line_bytes:int -> now:int -> busy:int -> int * int
   (** Route to bank [(addr / line_bytes) mod banks] and acquire it. *)
+
+  val acquire_finish : t -> addr:int -> line_bytes:int -> now:int -> busy:int -> int
+  (** {!acquire} returning only the finish time (no pair allocation). *)
 
   val bank_of : t -> addr:int -> line_bytes:int -> bank
   val reset : t -> unit

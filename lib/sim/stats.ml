@@ -10,28 +10,39 @@ module Sample = struct
 
   let create () = { data = Array.make 16 0.; len = 0; sorted_cache = None }
 
-  let add t x =
+  let reserve t =
     if t.len = Array.length t.data then begin
       let bigger = Array.make (2 * t.len) 0. in
       Array.blit t.data 0 bigger 0 t.len;
       t.data <- bigger
-    end;
-    t.data.(t.len) <- x;
+    end
+
+  (* [add_int] writes the converted value itself: routing it through [add]
+     would box the float argument on every call. *)
+  let add t x =
+    reserve t;
+    Array.unsafe_set t.data t.len x;
     t.len <- t.len + 1;
     t.sorted_cache <- None
 
-  let add_int t x = add t (float_of_int x)
+  let add_int t x =
+    reserve t;
+    Array.unsafe_set t.data t.len (float_of_int x);
+    t.len <- t.len + 1;
+    t.sorted_cache <- None
+
   let count t = t.len
   let is_empty t = t.len = 0
 
-  let fold f init t =
-    let acc = ref init in
+  (* Plain loops over the float array: a polymorphic fold would box every
+     element it reads.  Sums run in insertion order (float addition is not
+     associative, and the reported means must not move). *)
+  let total t =
+    let acc = ref 0. in
     for i = 0 to t.len - 1 do
-      acc := f !acc t.data.(i)
+      acc := !acc +. Array.unsafe_get t.data i
     done;
     !acc
-
-  let total t = fold ( +. ) 0. t
 
   let mean t =
     if t.len = 0 then invalid_arg "Sample.mean: empty";
@@ -39,18 +50,56 @@ module Sample = struct
 
   let min t =
     if t.len = 0 then invalid_arg "Sample.min: empty";
-    fold Float.min Float.infinity t
+    let acc = ref Float.infinity in
+    for i = 0 to t.len - 1 do
+      acc := Float.min !acc (Array.unsafe_get t.data i)
+    done;
+    !acc
 
   let max t =
     if t.len = 0 then invalid_arg "Sample.max: empty";
-    fold Float.max Float.neg_infinity t
+    let acc = ref Float.neg_infinity in
+    for i = 0 to t.len - 1 do
+      acc := Float.max !acc (Array.unsafe_get t.data i)
+    done;
+    !acc
+
+  (* Heap sort specialised to floats: [Array.sort]'s comparison closure
+     would box every element it reads.  Samples hold integer-valued
+     latencies, where elements that compare equal are bit-identical, so
+     the result is the array [Array.sort Float.compare] produces. *)
+  let sift_down (a : float array) n i =
+    let x = a.(i) in
+    let i = ref i and sinking = ref true in
+    while !sinking do
+      let c = (2 * !i) + 1 in
+      let c = if c + 1 < n && Float.compare a.(c) a.(c + 1) < 0 then c + 1 else c in
+      if c < n && Float.compare x a.(c) < 0 then begin
+        a.(!i) <- a.(c);
+        i := c
+      end
+      else sinking := false
+    done;
+    a.(!i) <- x
+
+  let heapsort (a : float array) =
+    let n = Array.length a in
+    for i = (n / 2) - 1 downto 0 do
+      sift_down a n i
+    done;
+    for last = n - 1 downto 1 do
+      let x = a.(last) in
+      a.(last) <- a.(0);
+      a.(0) <- x;
+      sift_down a last 0
+    done
 
   let sorted t =
     match t.sorted_cache with
     | Some arr -> arr
     | None ->
       let arr = Array.sub t.data 0 t.len in
-      Array.sort Float.compare arr;
+      heapsort arr;
       t.sorted_cache <- Some arr;
       arr
 
@@ -81,8 +130,12 @@ module Sample = struct
     if t.len < 2 then 0.
     else begin
       let m = mean t in
-      let sumsq = fold (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. t in
-      sqrt (sumsq /. float_of_int t.len)
+      let sumsq = ref 0. in
+      for i = 0 to t.len - 1 do
+        let x = Array.unsafe_get t.data i in
+        sumsq := !sumsq +. ((x -. m) *. (x -. m))
+      done;
+      sqrt (!sumsq /. float_of_int t.len)
     end
 
   let values t = Array.sub t.data 0 t.len
@@ -126,4 +179,23 @@ module Registry = struct
     Format.fprintf ppf "@[<v>";
     List.iter (fun (name, n) -> Format.fprintf ppf "%s: %d@," name n) (to_list t);
     Format.fprintf ppf "@]"
+
+  module Handle = struct
+    type registry = t
+
+    (* [c] is [unbound] until the first increment registers [name]; after
+       that it is the registry's own counter, so an increment is a field
+       read and an add. *)
+    type t = { reg : registry; name : string; mutable c : Counter.t }
+
+    let unbound = Counter.create ()
+    let create reg name = { reg; name; c = unbound }
+
+    let bound h =
+      if h.c == unbound then h.c <- counter h.reg h.name;
+      h.c
+
+    let incr h = Counter.incr (bound h)
+    let add h k = Counter.add (bound h) k
+  end
 end

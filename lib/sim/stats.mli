@@ -74,4 +74,21 @@ module Registry : sig
   (** All counters sorted by name. *)
 
   val pp : Format.formatter -> t -> unit
+
+  (** A counter bound to one name once, for per-access call sites: no
+      string hashing and no allocation per increment.  The name is
+      registered on the first {!Handle.incr} or {!Handle.add} (with any
+      amount, [0] included), exactly when a string-keyed {!incr}/{!add}
+      would have registered it, so {!to_list} is unchanged by switching a
+      call site to a handle. *)
+  module Handle : sig
+    type registry := t
+    type t
+
+    val create : registry -> string -> t
+    (** Does not register the name. *)
+
+    val incr : t -> unit
+    val add : t -> int -> unit
+  end
 end

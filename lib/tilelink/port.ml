@@ -1,5 +1,6 @@
 open Skipit_sim
 module Trace = Skipit_obs.Trace
+module H = Stats.Registry.Handle
 
 type grant = { perm : Perm.t; data : int array; l2_dirty : bool; done_at : int }
 type probe_result = { dirty_data : int array option; done_at : int }
@@ -25,32 +26,17 @@ module Channels = struct
     }
 end
 
-(* Per-channel counter cache for the beat hot path.  The registry key
-   strings are built once at port creation, and each [Stats.Counter.t] is
-   bound on its first increment — never earlier, so a port that sees no
-   stalls reports no [*_stalls] key, exactly as with per-call
-   [Registry.add] lookups.  After binding, a beat costs two field reads
-   and an integer add: no string concat, no hashtable probe, no
-   allocation. *)
-type chan_stats = {
-  beats_name : string;
-  stalls_name : string;
-  waits_name : string;
-  tchan : Trace.chan;
-  mutable beats : Stats.Counter.t option;
-  mutable stalls : Stats.Counter.t option;
-  mutable waits : Stats.Counter.t option;
-}
+(* Per-channel counters for the beat hot path, bound once at port
+   creation.  Each registers its key on its first increment, so a port that
+   sees no stalls reports no [*_stalls] key. *)
+type chan_stats = { tchan : Trace.chan; beats : H.t; stalls : H.t; waits : H.t }
 
-let chan_stats chan tchan =
+let chan_stats stats chan tchan =
   {
-    beats_name = chan ^ "_beats";
-    stalls_name = chan ^ "_stalls";
-    waits_name = chan ^ "_wait_cycles";
     tchan;
-    beats = None;
-    stalls = None;
-    waits = None;
+    beats = H.create stats (chan ^ "_beats");
+    stalls = H.create stats (chan ^ "_stalls");
+    waits = H.create stats (chan ^ "_wait_cycles");
   }
 
 type t = {
@@ -62,8 +48,12 @@ type t = {
   cs_a : chan_stats;
   cs_c : chan_stats;
   cs_d : chan_stats;
-  mutable probes : Stats.Counter.t option;  (* b_probes, bound lazily *)
-  mutable probe_beats : Stats.Counter.t option;  (* b_beats, bound lazily *)
+  h_probes : H.t;
+  h_probe_beats : H.t;
+  h_acquires : H.t;
+  h_releases : H.t;
+  h_root_releases : H.t;
+  h_root_invals : H.t;
   mutable manager : manager option;
   mutable client : client option;
 }
@@ -72,17 +62,22 @@ let create ?channels ?(bank_channels = [||]) ?(line_bytes = 64) ~name () =
   let channels =
     match channels with Some c -> c | None -> Channels.create ~name
   in
+  let stats = Stats.Registry.create () in
   {
     name;
     channels;
     bank_channels;
     line_bytes;
-    stats = Stats.Registry.create ();
-    cs_a = chan_stats "a" Trace.Ch_a;
-    cs_c = chan_stats "c" Trace.Ch_c;
-    cs_d = chan_stats "d" Trace.Ch_d;
-    probes = None;
-    probe_beats = None;
+    stats;
+    cs_a = chan_stats stats "a" Trace.Ch_a;
+    cs_c = chan_stats stats "c" Trace.Ch_c;
+    cs_d = chan_stats stats "d" Trace.Ch_d;
+    h_probes = H.create stats "b_probes";
+    h_probe_beats = H.create stats "b_beats";
+    h_acquires = H.create stats "acquires";
+    h_releases = H.create stats "releases";
+    h_root_releases = H.create stats "root_releases";
+    h_root_invals = H.create stats "root_invals";
     manager = None;
     client = None;
   }
@@ -134,29 +129,15 @@ let client_exn t =
    [now]; a sender that finds the channel busy queues (stall), exactly how
    structural hazards surface in hardware. *)
 let occupy t res cs ~now ~beats =
-  let start, finish = Resource.acquire res ~now ~busy:beats in
-  (match cs.beats with
-   | Some c -> Stats.Counter.add c beats
-   | None ->
-     let c = Stats.Registry.counter t.stats cs.beats_name in
-     cs.beats <- Some c;
-     Stats.Counter.add c beats);
+  let finish = Resource.acquire_finish res ~now ~busy:beats in
+  let start = finish - beats in
+  H.add cs.beats beats;
   if Trace.enabled () then
     Trace.emit ~at:start
       (Trace.Channel { port = t.name; chan = cs.tchan; op = Trace.Beats beats });
   if start > now then begin
-    (match cs.stalls with
-     | Some c -> Stats.Counter.incr c
-     | None ->
-       let c = Stats.Registry.counter t.stats cs.stalls_name in
-       cs.stalls <- Some c;
-       Stats.Counter.incr c);
-    (match cs.waits with
-     | Some c -> Stats.Counter.add c (start - now)
-     | None ->
-       let c = Stats.Registry.counter t.stats cs.waits_name in
-       cs.waits <- Some c;
-       Stats.Counter.add c (start - now));
+    H.incr cs.stalls;
+    H.add cs.waits (start - now);
     if Trace.enabled () then
       Trace.emit ~at:now
         (Trace.Channel { port = t.name; chan = cs.tchan; op = Trace.Stall (start - now) })
@@ -176,40 +157,30 @@ let trace_msg t ~op ~addr ~now =
   if Trace.enabled () then Trace.emit ~at:now (Trace.Message { port = t.name; op; addr })
 
 let acquire t ~addr ~grow ~now =
-  Stats.Registry.incr t.stats "acquires";
+  H.incr t.h_acquires;
   trace_msg t ~op:Trace.Msg_acquire ~addr ~now;
   (manager_exn t).acquire ~addr ~grow ~now
 
 let release t ~addr ~shrink ~data ~now =
-  Stats.Registry.incr t.stats "releases";
+  H.incr t.h_releases;
   trace_msg t ~op:Trace.Msg_release ~addr ~now;
   (manager_exn t).release ~addr ~shrink ~data ~now
 
 let root_release t ~addr ~kind ~data ~now =
-  Stats.Registry.incr t.stats "root_releases";
+  H.incr t.h_root_releases;
   trace_msg t ~op:Trace.Msg_root_release ~addr ~now;
   (manager_exn t).root_release ~addr ~kind ~data ~now
 
 let root_inval t ~addr ~now =
-  Stats.Registry.incr t.stats "root_invals";
+  H.incr t.h_root_invals;
   trace_msg t ~op:Trace.Msg_root_inval ~addr ~now;
   (manager_exn t).root_inval ~addr ~now
 
 let peek_word t addr = (manager_exn t).peek_word addr
 
 let probe t ~addr ~cap ~now =
-  (match t.probes with
-   | Some c -> Stats.Counter.incr c
-   | None ->
-     let c = Stats.Registry.counter t.stats "b_probes" in
-     t.probes <- Some c;
-     Stats.Counter.incr c);
-  (match t.probe_beats with
-   | Some c -> Stats.Counter.incr c
-   | None ->
-     let c = Stats.Registry.counter t.stats "b_beats" in
-     t.probe_beats <- Some c;
-     Stats.Counter.incr c);
+  H.incr t.h_probes;
+  H.incr t.h_probe_beats;
   if Trace.enabled () then begin
     Trace.emit ~at:now (Trace.Message { port = t.name; op = Trace.Msg_probe; addr });
     Trace.emit ~at:now (Trace.Channel { port = t.name; chan = Trace.Ch_b; op = Trace.Beats 1 })
@@ -227,6 +198,9 @@ module Memside = struct
     crash : unit -> unit;
   }
 
+  (* Queueing the agent reports through [note_wait]. *)
+  type waits = { stalls : H.t; wait_cycles : H.t }
+
   type t = {
     name : string;
     beats_per_line : int;
@@ -234,10 +208,19 @@ module Memside = struct
     txn : Resource.t option;  (* outstanding-transaction IDs, None = unlimited *)
     stats : Stats.Registry.t;
     ops : ops;
+    h_reads : H.t;
+    h_read_beats : H.t;
+    h_writes : H.t;
+    h_write_beats : H.t;
+    h_persists : H.t;
+    h_persist_checks : H.t;
+    h_txn_stalls : H.t;
+    h_txn_wait_cycles : H.t;
   }
 
   let create ~name ~beats_per_line ?(max_inflight = 0) ?(burst_beat_cost = 0) mk =
     let stats = Stats.Registry.create () in
+    let h = H.create stats in
     let txn =
       if max_inflight > 0 then
         Some (Resource.create ~count:max_inflight (name ^ "-txn"))
@@ -249,78 +232,85 @@ module Memside = struct
       burst_cost = beats_per_line * burst_beat_cost;
       txn;
       stats;
-      ops = mk stats;
+      ops = mk { stalls = h "stalls"; wait_cycles = h "wait_cycles" };
+      h_reads = h "reads";
+      h_read_beats = h "read_beats";
+      h_writes = h "writes";
+      h_write_beats = h "write_beats";
+      h_persists = h "persists";
+      h_persist_checks = h "persist_checks";
+      h_txn_stalls = h "txn_stalls";
+      h_txn_wait_cycles = h "txn_wait_cycles";
     }
 
   let name t = t.name
   let stats t = t.stats
 
-  let note_wait stats cycles =
+  let note_wait w cycles =
     if cycles > 0 then begin
-      Stats.Registry.incr stats "stalls";
-      Stats.Registry.add stats "wait_cycles" cycles
+      H.incr w.stalls;
+      H.add w.wait_cycles cycles
     end
 
   let note_txn_wait t ~now ~start =
     if start > now then begin
-      Stats.Registry.incr t.stats "txn_stalls";
-      Stats.Registry.add t.stats "txn_wait_cycles" (start - now)
+      H.incr t.h_txn_stalls;
+      H.add t.h_txn_wait_cycles (start - now)
     end
 
   let trace_op t ~op ~addr ~now =
     if Trace.enabled () then Trace.emit ~at:now (Trace.Mem { name = t.name; op; addr })
+
+  let line_op t ~persist ~addr ~data ~now =
+    if persist then t.ops.persist_line ~addr ~data ~now else t.ops.write_line ~addr ~data ~now
 
   (* AXI-style transaction bracket for the line-moving operations: a burst
      holds one outstanding-transaction ID from issue to completion (a full
      ID table delays issue — txn_stalls/txn_wait_cycles), and its data
      beats add [burst_cost] cycles to the completion time.  With the
      defaults (unlimited IDs, free beats) this is the identity. *)
-  let burst_op t ~now f =
+  let burst_op t ~persist ~addr ~data ~now =
     match t.txn with
-    | None -> f ~now + t.burst_cost
+    | None -> line_op t ~persist ~addr ~data ~now + t.burst_cost
     | Some txn ->
-      let start, finish =
-        Resource.acquire_dyn txn ~now (fun start ->
-            max start (f ~now:start + t.burst_cost))
-      in
+      let idx = Resource.pick txn in
+      let start = Resource.start_on txn idx ~now in
+      let finish = max start (line_op t ~persist ~addr ~data ~now:start + t.burst_cost) in
+      Resource.commit txn idx ~start ~finish;
       note_txn_wait t ~now ~start;
       finish
 
   let read_line t ~addr ~now =
-    Stats.Registry.incr t.stats "reads";
-    Stats.Registry.add t.stats "read_beats" t.beats_per_line;
+    H.incr t.h_reads;
+    H.add t.h_read_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_read ~addr ~now;
     match t.txn with
     | None ->
       let data, at, dirty = t.ops.read_line ~addr ~now in
       (data, at + t.burst_cost, dirty)
     | Some txn ->
-      let res = ref None in
-      let start, finish =
-        Resource.acquire_dyn txn ~now (fun start ->
-            let ((_, at, _) as r) = t.ops.read_line ~addr ~now:start in
-            res := Some r;
-            max start (at + t.burst_cost))
-      in
+      let idx = Resource.pick txn in
+      let start = Resource.start_on txn idx ~now in
+      let data, at, dirty = t.ops.read_line ~addr ~now:start in
+      let finish = max start (at + t.burst_cost) in
+      Resource.commit txn idx ~start ~finish;
       note_txn_wait t ~now ~start;
-      (match !res with
-       | Some (data, _, dirty) -> (data, finish, dirty)
-       | None -> assert false)
+      (data, finish, dirty)
 
   let write_line t ~addr ~data ~now =
-    Stats.Registry.incr t.stats "writes";
-    Stats.Registry.add t.stats "write_beats" t.beats_per_line;
+    H.incr t.h_writes;
+    H.add t.h_write_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_write ~addr ~now;
-    burst_op t ~now (fun ~now -> t.ops.write_line ~addr ~data ~now)
+    burst_op t ~persist:false ~addr ~data ~now
 
   let persist_line t ~addr ~data ~now =
-    Stats.Registry.incr t.stats "persists";
-    Stats.Registry.add t.stats "write_beats" t.beats_per_line;
+    H.incr t.h_persists;
+    H.add t.h_write_beats t.beats_per_line;
     trace_op t ~op:Trace.Mem_persist ~addr ~now;
-    burst_op t ~now (fun ~now -> t.ops.persist_line ~addr ~data ~now)
+    burst_op t ~persist:true ~addr ~data ~now
 
   let persist_if_dirty t ~addr ~now =
-    Stats.Registry.incr t.stats "persist_checks";
+    H.incr t.h_persist_checks;
     t.ops.persist_if_dirty ~addr ~now
 
   let discard_line t ~addr = t.ops.discard_line ~addr

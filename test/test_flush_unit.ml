@@ -7,12 +7,21 @@ let params ?(n_fshrs = 2) ?(depth = 2) ?(coalescing = true) () =
 
 let ack_after = 50
 
-let submit ?(kind = Message.Wb_clean) ?(hit = true) ?(dirty = true) ?(last_change = min_int)
-    ?(on_meta = fun _ -> ()) fu ~addr ~now =
+(* A flush unit whose client ignores metadata effects and acks every
+   release [ack_after] cycles after it is sent. *)
+let create p ~core =
+  let fu = FU.create p ~core in
+  FU.connect fu
+    {
+      FU.apply_meta = (fun ~addr:_ _ -> ());
+      send = (fun ~addr:_ ~kind:_ ~data:_ ~now -> now + ack_after);
+    };
+  fu
+
+let submit ?(kind = Message.Wb_clean) ?(hit = true) ?(dirty = true) ?(last_change = min_int) fu
+    ~addr ~now =
   let line_data = if hit && dirty then Some (Array.make 8 0) else None in
   FU.submit fu ~addr ~kind ~hit ~dirty ~line_data ~last_line_change:last_change ~now
-    ~apply_meta:on_meta
-    ~send:(fun ~data:_ ~now -> now + ack_after)
 
 
 (* Coalescing applies to requests still waiting in the queue (§5.3); pin a
@@ -26,7 +35,7 @@ let with_queued_partner fu ~addr ~now =
   | FU.Coalesced _ -> Alcotest.fail "partner cannot coalesce"
 
 let test_commit_is_early () =
-  let fu = FU.create (params ()) ~core:0 in
+  let fu = create (params ()) ~core:0 in
   match submit fu ~addr:0x40 ~now:10 with
   | FU.Accepted p ->
     Alcotest.(check int) "commits at enqueue" 10 p.FU.commit_at;
@@ -35,7 +44,7 @@ let test_commit_is_early () =
   | FU.Coalesced _ -> Alcotest.fail "unexpected coalesce"
 
 let test_depth_zero_synchronous () =
-  let fu = FU.create (params ~depth:0 ()) ~core:0 in
+  let fu = create (params ~depth:0 ()) ~core:0 in
   match submit fu ~addr:0x40 ~now:10 with
   | FU.Accepted p ->
     Alcotest.(check int) "no queue => commit at completion" p.FU.ack_at p.FU.commit_at
@@ -43,7 +52,7 @@ let test_depth_zero_synchronous () =
 
 let test_fshr_parallelism () =
   (* 2 FSHRs: two writebacks overlap, the third queues behind the first. *)
-  let fu = FU.create (params ~n_fshrs:2 ~depth:8 ()) ~core:0 in
+  let fu = create (params ~n_fshrs:2 ~depth:8 ()) ~core:0 in
   let acks =
     List.map
       (fun addr ->
@@ -60,7 +69,7 @@ let test_fshr_parallelism () =
 
 let test_queue_backpressure () =
   (* Depth 1, 1 FSHR: the third request stalls until a queue slot frees. *)
-  let fu = FU.create (params ~n_fshrs:1 ~depth:1 ()) ~core:0 in
+  let fu = create (params ~n_fshrs:1 ~depth:1 ()) ~core:0 in
   let commits =
     List.map
       (fun addr ->
@@ -77,7 +86,7 @@ let test_queue_backpressure () =
   | _ -> assert false
 
 let test_coalescing () =
-  let fu = FU.create (params ~n_fshrs:1 ~depth:8 ()) ~core:0 in
+  let fu = create (params ~n_fshrs:1 ~depth:8 ()) ~core:0 in
   let first = with_queued_partner fu ~addr:0x40 ~now:1 in
   (match submit fu ~addr:0x40 ~now:5 with
    | FU.Coalesced { ack_at; _ } ->
@@ -90,7 +99,7 @@ let test_coalescing () =
   Alcotest.(check int) "stats" 1 (Skipit_sim.Stats.Registry.get (FU.stats fu) "coalesced")
 
 let test_coalescing_blocked_by_line_change () =
-  let fu = FU.create (params ~n_fshrs:1 ~depth:8 ()) ~core:0 in
+  let fu = create (params ~n_fshrs:1 ~depth:8 ()) ~core:0 in
   ignore (with_queued_partner fu ~addr:0x40 ~now:1);
   (* A store at t=3 changed the line: the t=5 request must not merge. *)
   match submit fu ~addr:0x40 ~now:5 ~last_change:3 with
@@ -98,7 +107,7 @@ let test_coalescing_blocked_by_line_change () =
   | FU.Coalesced _ -> Alcotest.fail "state changed between the two CBO.X"
 
 let test_coalescing_disabled () =
-  let fu = FU.create (params ~coalescing:false ~n_fshrs:1 ~depth:8 ()) ~core:0 in
+  let fu = create (params ~coalescing:false ~n_fshrs:1 ~depth:8 ()) ~core:0 in
   ignore (with_queued_partner fu ~addr:0x40 ~now:1);
   match submit fu ~addr:0x40 ~now:5 with
   | FU.Accepted _ -> ()
@@ -107,7 +116,7 @@ let test_coalescing_disabled () =
 let test_no_coalescing_once_allocated () =
   (* Once the partner holds an FSHR its metadata write is a state change of
      its own: later requests must not merge (§5.3 reading). *)
-  let fu = FU.create (params ~n_fshrs:2 ~depth:8 ()) ~core:0 in
+  let fu = create (params ~n_fshrs:2 ~depth:8 ()) ~core:0 in
   (match submit fu ~addr:0x40 ~now:0 with
    | FU.Accepted p -> assert (p.FU.alloc_at = 0)
    | FU.Coalesced _ -> assert false);
@@ -116,7 +125,7 @@ let test_no_coalescing_once_allocated () =
   | FU.Coalesced _ -> Alcotest.fail "partner already left the queue"
 
 let test_fence_waits_for_all () =
-  let fu = FU.create (params ~n_fshrs:2 ~depth:8 ()) ~core:0 in
+  let fu = create (params ~n_fshrs:2 ~depth:8 ()) ~core:0 in
   let acks =
     List.filter_map
       (fun addr ->
@@ -131,7 +140,7 @@ let test_fence_waits_for_all () =
     (FU.fence_ready_at fu ~now:(latest + 1))
 
 let test_load_conflict_forwarding () =
-  let fu = FU.create (params ()) ~core:0 in
+  let fu = create (params ()) ~core:0 in
   let p =
     match submit fu ~addr:0x40 ~now:0 with FU.Accepted p -> p | _ -> assert false
   in
@@ -155,7 +164,7 @@ let test_load_conflict_forwarding () =
   | _ -> Alcotest.fail "unrelated line must not conflict"
 
 let test_store_rules () =
-  let fu = FU.create (params ()) ~core:0 in
+  let fu = create (params ()) ~core:0 in
   (* Pending flush: stores wait for the ack. *)
   let pf =
     match submit fu ~kind:Message.Wb_flush ~addr:0x40 ~now:0 with
@@ -183,7 +192,7 @@ let test_store_rules () =
 let test_probe_interlock () =
   (* §5.4.1: while an FSHR holds the line (flush_rdy low), probes wait for
      release_at. *)
-  let fu = FU.create (params ()) ~core:0 in
+  let fu = create (params ()) ~core:0 in
   let p =
     match submit fu ~addr:0x40 ~now:0 with FU.Accepted p -> p | _ -> assert false
   in
@@ -195,7 +204,7 @@ let test_probe_interlock () =
   Alcotest.(check int) "evictions obey the same interlock" p.FU.release_at t3
 
 let test_skip_counter () =
-  let fu = FU.create (params ()) ~core:0 in
+  let fu = create (params ()) ~core:0 in
   FU.note_skip_drop fu;
   FU.note_skip_drop fu;
   Alcotest.(check int) "skip drops" 2

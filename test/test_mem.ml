@@ -96,6 +96,82 @@ let test_dram_snapshot () =
   Alcotest.(check int) "snapshot immutable" 5 (Backing.read_word snap 0x40);
   Alcotest.(check int) "live view" 6 (Dram.peek_word d 0x40)
 
+(* [Backing] against the word-keyed [Hashtbl] it replaced: random word and
+   line writes and reads (lines of 32, 64 and 128 bytes, so lines span
+   part of a 64-byte block or several), unwritten words reading 0,
+   [footprint], the [iter] binding set, and snapshots taken with [copy]
+   staying as they were while the original moves on.  Unaligned word
+   accesses raise in both. *)
+type backing_op =
+  | W_word of int * int
+  | W_line of int * int * int  (* line bytes, address, seed of the data *)
+  | R_word of int
+  | R_line of int * int
+  | Snapshot
+  | Unaligned of int
+
+let backing_op_gen =
+  QCheck.Gen.(
+    (* Word addresses in a few KiB, plus a far region. *)
+    let addr = map2 (fun far w -> (if far then 1 lsl 40 else 0) + (w * 8)) bool (int_range 0 600) in
+    let line_bytes = oneofl [ 32; 64; 128 ] in
+    frequency
+      [
+        (4, map2 (fun a v -> W_word (a, v)) addr (int_range (-5) 1000));
+        (2, map3 (fun lb a seed -> W_line (lb, a, seed)) line_bytes addr small_nat);
+        (3, map (fun a -> R_word a) addr);
+        (2, map2 (fun lb a -> R_line (lb, a)) line_bytes addr);
+        (1, return Snapshot);
+        (1, map2 (fun a o -> Unaligned (a + o)) addr (int_range 1 7));
+      ])
+
+let backing_ops_arb =
+  QCheck.make ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+    QCheck.Gen.(list_size (int_range 1 200) backing_op_gen)
+
+let bindings_of_backing b =
+  let acc = ref [] in
+  Backing.iter b (fun a v -> acc := (a, v) :: !acc);
+  List.sort compare !acc
+
+let bindings_of_model m = List.sort compare (Hashtbl.fold (fun a v acc -> (a, v) :: acc) m [])
+
+let agrees b m =
+  Backing.footprint b = Hashtbl.length m && bindings_of_backing b = bindings_of_model m
+
+let prop_backing_model =
+  QCheck.Test.make ~name:"backing matches word-keyed model" ~count:300 backing_ops_arb
+  @@ fun ops ->
+  let b = Backing.create () and m = Hashtbl.create 64 in
+  let read a = Option.value ~default:0 (Hashtbl.find_opt m a) in
+  let snapshots = ref [] in
+  let ok = ref true in
+  let expect c = if not c then ok := false in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (function
+      | W_word (a, v) ->
+        Backing.write_word b a v;
+        Hashtbl.replace m a v
+      | W_line (lb, a, seed) ->
+        let data = Array.init (lb / 8) (fun i -> (seed * 31) + i) in
+        Backing.write_line b ~line_bytes:lb a data;
+        let base = a land lnot (lb - 1) in
+        Array.iteri (fun i v -> Hashtbl.replace m (base + (i * 8)) v) data
+      | R_word a -> expect (Backing.read_word b a = read a)
+      | R_line (lb, a) ->
+        let base = a land lnot (lb - 1) in
+        expect
+          (Backing.read_line b ~line_bytes:lb a = Array.init (lb / 8) (fun i -> read (base + (i * 8))))
+      | Snapshot -> snapshots := (Backing.copy b, Hashtbl.copy m) :: !snapshots
+      | Unaligned a ->
+        expect (raises (fun () -> Backing.read_word b a));
+        expect (raises (fun () -> Backing.write_word b a 1)))
+    ops;
+  expect (agrees b m);
+  List.iter (fun (sb, sm) -> expect (agrees sb sm)) !snapshots;
+  !ok
+
 let tests =
   ( "mem",
     [
@@ -109,4 +185,5 @@ let tests =
       Alcotest.test_case "dram parallel channels" `Quick test_dram_parallel_channels;
       Alcotest.test_case "dram snapshot" `Quick test_dram_snapshot;
       QCheck_alcotest.to_alcotest prop_alloc_disjoint;
+      QCheck_alcotest.to_alcotest prop_backing_model;
     ] )

@@ -27,12 +27,23 @@ let test_all_free_at () =
   Alcotest.(check int) "busy at t=5" 2 (Resource.busy_at r 5);
   Alcotest.(check int) "busy at t=15" 1 (Resource.busy_at r 15)
 
-let test_acquire_dyn () =
-  let r = Resource.create "r" in
-  let s, f = Resource.acquire_dyn r ~now:3 (fun start -> start + 7) in
-  Alcotest.(check (pair int int)) "dyn occupancy" (3, 10) (s, f);
-  let s2, _ = Resource.acquire_dyn r ~now:0 (fun start -> start) in
-  Alcotest.(check int) "queued behind dyn" 10 s2
+(* A transaction-long occupancy whose end is known only after the start:
+   pick a unit, start on it, commit the finish. *)
+let test_pick_commit () =
+  let r = Resource.create ~count:2 "r" in
+  let i = Resource.pick r in
+  let s = Resource.start_on r i ~now:3 in
+  Resource.commit r i ~start:s ~finish:(s + 7);
+  Alcotest.(check (pair int int)) "first unit from now" (0, 3) (i, s);
+  let j = Resource.pick r in
+  Alcotest.(check int) "other unit is earliest free" 1 j;
+  Resource.commit r j ~start:(Resource.start_on r j ~now:0) ~finish:12;
+  let k = Resource.pick r in
+  Alcotest.(check (pair int int)) "queued behind the earlier finish" (0, 10)
+    (k, Resource.start_on r k ~now:0);
+  Alcotest.check_raises "finish before start" (Invalid_argument "Resource.commit: finish < start")
+    (fun () -> Resource.commit r k ~start:10 ~finish:9);
+  Alcotest.(check int) "busy cycles" 19 (Resource.total_busy_cycles r)
 
 let test_utilization () =
   let r = Resource.create "r" in
@@ -124,7 +135,7 @@ let tests =
       Alcotest.test_case "parallel units" `Quick test_parallel_units;
       Alcotest.test_case "idle time not billed" `Quick test_idle_time_not_billed;
       Alcotest.test_case "all_free_at/busy_at" `Quick test_all_free_at;
-      Alcotest.test_case "acquire_dyn" `Quick test_acquire_dyn;
+      Alcotest.test_case "pick/commit" `Quick test_pick_commit;
       Alcotest.test_case "utilization accounting" `Quick test_utilization;
       Alcotest.test_case "banked routing" `Quick test_banked_routing;
       QCheck_alcotest.to_alcotest prop_start_never_before_now;

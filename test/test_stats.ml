@@ -122,6 +122,44 @@ let prop_percentile_monotone =
   let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
   Sample.percentile s lo <= Sample.percentile s hi +. 1e-9
 
+(* The sample's float heapsort and loops must give bit-identical answers
+   to the polymorphic [Array.sort Float.compare] and folds they replaced,
+   on many repeated values (samples hold integer-valued latencies; values
+   that compare equal are then bit-identical). *)
+let prop_bit_identical =
+  let value =
+    QCheck.Gen.(oneof [ oneofl [ 0.; 2.5; -3.; 1e300; Float.infinity ]; map float_of_int (int_range 0 20) ])
+  in
+  QCheck.Test.make ~name:"sort bit-identical to Array.sort" ~count:500
+    QCheck.(
+      pair
+        (make ~print:Print.(list float) QCheck.Gen.(list_size (int_range 1 60) value))
+        (make ~print:Print.(list float)
+           QCheck.Gen.(list_size (int_range 1 8) (float_range 0. 100.))))
+  @@ fun (xs, ps) ->
+  let s = of_list xs in
+  let arr = Array.of_list xs in
+  let sorted = Array.copy arr in
+  Array.sort Float.compare sorted;
+  let n = Array.length sorted in
+  (* [Sample.percentile]'s arithmetic over the reference order. *)
+  let reference p =
+    if n = 1 || p <= 0. then sorted.(0)
+    else if p >= 100. then sorted.(n - 1)
+    else begin
+      let rank = p /. 100. *. float_of_int (n - 1) in
+      let lo = min (max 0 (int_of_float (Float.floor rank))) (n - 1) in
+      let hi = min (lo + 1) (n - 1) in
+      let frac = Float.min (Float.max 0. (rank -. float_of_int lo)) 1. in
+      (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
+    end
+  in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  List.for_all (fun p -> same (Sample.percentile s p) (reference p)) (0. :: 100. :: ps)
+  && same (Sample.total s) (Array.fold_left ( +. ) 0. arr)
+  && same (Sample.min s) (Array.fold_left Float.min Float.infinity arr)
+  && same (Sample.max s) (Array.fold_left Float.max Float.neg_infinity arr)
+
 let test_counter () =
   let c = Counter.create () in
   Counter.incr c;
@@ -159,4 +197,5 @@ let tests =
       QCheck_alcotest.to_alcotest prop_percentile_matches_reference;
       QCheck_alcotest.to_alcotest prop_median_bounded;
       QCheck_alcotest.to_alcotest prop_percentile_monotone;
+      QCheck_alcotest.to_alcotest prop_bit_identical;
     ] )
